@@ -51,7 +51,7 @@ __all__ = [
 DEFAULT_EPS = 1e-9
 ZERO_EIGENVALUE = 1e-12  # branch weight below this is treated as absent
 
-_GS_ACCEPT = 1e-7
+_GS_ACCEPT = 1e-7  # Gram-Schmidt residual norm below which columns are dependent
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def max_capacity(clusters: SpectrumClusters, m: int, n: int) -> int:
 def synthesize_u_b(channel: ChannelState, clusters: SpectrumClusters, d: int):
     """Receiver-side unitary factoring the reduced density at capacity d.
 
-    Eigenvectors (descending eigenvalue) are mapped onto the computational
+    The clusters' eigenvectors (descending) are mapped onto the computational
     basis in order, which lays each cluster out as consecutive residual
     labels times a full uniform block on the trailing d qubits.  Returns
     (u_b, eta, relabeling); eta is the diagonal residual density (cluster
@@ -153,15 +153,28 @@ def synthesize_u_b(channel: ChannelState, clusters: SpectrumClusters, d: int):
     if d == n:
         # single flat cluster: the density already factors as I/2**n
         return np.eye(1 << n, dtype=complex), None, relabeling
-    rho_b = reduced_density(channel, "bob")
-    _, v = hermitian_eig(rho_b)
-    u_b = v.conj().T
+    if any(c.basis is None for c in clusters.clusters):
+        raise ValueError("clusters must carry their eigenvectors")
+    u_b = np.concatenate([c.basis for c in clusters.clusters], axis=1).conj().T
     block = 1 << d
     diag = np.concatenate(
         [np.full(c.multiplicity // block, c.value * block) for c in clusters.clusters]
     )
     eta = np.diag(diag.astype(complex))
     return u_b, eta, relabeling
+
+
+def _transformed(rho_b: np.ndarray, u_b: np.ndarray, d: int):
+    """u_b rho_b u_b† and its partial trace over the trailing d qubits."""
+    rho = u_b @ rho_b @ u_b.conj().T
+    dr, du = rho.shape[0] >> d, 1 << d
+    return rho, np.einsum("aibi->ab", rho.reshape(dr, du, dr, du))
+
+
+def _factors(rho: np.ndarray, eta_hat: np.ndarray, d: int, eps: float) -> bool:
+    """Max-norm test of rho = eta_hat (x) I/2**d."""
+    du = 1 << d
+    return bool(np.max(np.abs(rho - np.kron(eta_hat, np.eye(du) / du))) <= eps)
 
 
 def verify_condition(channel: ChannelState, u_b, d: int, eps: float = DEFAULT_EPS) -> bool:
@@ -179,23 +192,8 @@ def verify_condition(channel: ChannelState, u_b, d: int, eps: float = DEFAULT_EP
     u_b = np.asarray(u_b, dtype=np.complex128)
     if u_b.shape != (1 << n, 1 << n) or not linalg.is_unitary(u_b, 1e-9):
         raise ValueError("u_b is not a receiver-side unitary")
-    rho = u_b @ reduced_density(channel, "bob") @ u_b.conj().T
-    dr, du = 1 << (n - d), 1 << d
-    t = rho.reshape(dr, du, dr, du)
-    eta_hat = np.einsum("aibi->ab", t)
-    return bool(np.max(np.abs(rho - np.kron(eta_hat, np.eye(du) / du))) <= eps)
-
-
-def _residual_frame(channel: ChannelState, u_b, d: int):
-    """Descending eigensystem of the post-u_b residual density."""
-    n = len(channel.bob)
-    u_b = np.asarray(u_b, dtype=np.complex128)
-    rho = u_b @ reduced_density(channel, "bob") @ u_b.conj().T
-    dr, du = 1 << (n - d), 1 << d
-    eta_hat = np.einsum("aibi->ab", rho.reshape(dr, du, dr, du))
-    eta_hat = (eta_hat + eta_hat.conj().T) / 2
-    mu, basis = hermitian_eig(eta_hat)
-    return np.clip(mu, 0.0, None), basis
+    rho, eta_hat = _transformed(reduced_density(channel, "bob"), u_b, d)
+    return _factors(rho, eta_hat, d, eps)
 
 
 def _bell_sign(i: int, d: int) -> float:
@@ -203,16 +201,20 @@ def _bell_sign(i: int, d: int) -> float:
     return -1.0 if (d - bin(i).count("1")) % 2 else 1.0
 
 
-def _target_columns(mu, basis, m: int, n: int, d: int, bell_high: bool) -> np.ndarray:
+def _target_columns(eta_hat, m: int, n: int, d: int, bell_high: bool) -> np.ndarray:
     """Sender-side vectors of the canonical state, one column per receiver
     basis index (residual bits high, Bell bits low).
 
-    Column (j', i) of the canonical state  prod_t singlet_t (x) purification
-    is sign(i)/sqrt(2**d) * sum_j sqrt(mu_j) basis[j', j] |a(i, j)>, where
-    the sender index a(i, j) packs the complemented Bell bits next to the
-    purifying label j: Bell bits high when the sender keeps her Bell halves
-    on her leading qubits (bell_high), low otherwise.
+    With mu, basis the descending eigensystem of the post-u_b residual
+    density eta_hat, column (j', i) of the canonical state
+    prod_t singlet_t (x) purification is sign(i)/sqrt(2**d) * sum_j
+    sqrt(mu_j) basis[j', j] |a(i, j)>, where the sender index a(i, j) packs
+    the complemented Bell bits next to the purifying label j: Bell bits high
+    when the sender keeps her Bell halves on her leading qubits (bell_high),
+    low otherwise.
     """
+    mu, basis = hermitian_eig((eta_hat + eta_hat.conj().T) / 2)
+    mu = np.clip(mu, 0.0, None)
     dim_a, dim_b = 1 << m, 1 << n
     da_res = 1 << (m - d)
     cols = np.zeros((dim_a, dim_b), dtype=complex)
@@ -234,64 +236,52 @@ def _target_columns(mu, basis, m: int, n: int, d: int, bell_high: bool) -> np.nd
     return cols
 
 
-def _gs_extend(q: np.ndarray, filled: int, candidates, want: int, strict: bool) -> int:
-    """Ordered Gram-Schmidt: extend the orthonormal columns q[:, :filled].
+def _completed_frame(cols: np.ndarray) -> np.ndarray:
+    """Unitary whose leading columns are the ordered Gram-Schmidt frame of
+    cols, completed by a Householder QR.
 
-    Candidates are orthogonalized (twice, for stability) against everything
-    accepted so far; residuals below the acceptance threshold are rejected,
-    which strict mode treats as an error.  Returns the new filled count.
+    |R_jj| is the norm of column j after projecting out the columns before
+    it, i.e. Gram-Schmidt's residual; at or below the acceptance threshold
+    the columns are rank deficient.  Rotating each leading column by the
+    phase of R_jj makes the diagonal positive, which pins the frame to the
+    one Gram-Schmidt builds.
     """
-    target = filled + want
-    for v in candidates:
-        if filled == target:
-            break
-        w = np.array(v, dtype=complex)
-        for _ in range(2):
-            if filled:
-                w -= q[:, :filled] @ (q[:, :filled].conj().T @ w)
-        nw = np.linalg.norm(w)
-        if nw <= _GS_ACCEPT:
-            if strict:
-                raise ArithmeticError("relative-vector frame is rank deficient")
-            continue
-        q[:, filled] = w / nw
-        filled += 1
-    if filled != target:
-        raise ArithmeticError("could not complete an orthonormal frame")
-    return filled
+    q, r = np.linalg.qr(cols, mode="complete")
+    diag = np.diagonal(r)
+    if diag.size < cols.shape[1] or np.any(np.abs(diag) <= _GS_ACCEPT):
+        raise ArithmeticError("relative-vector frame is rank deficient")
+    q[:, :diag.size] *= diag / np.abs(diag)
+    return q
 
 
 def synthesize_u_a(channel: ChannelState, u_b, d: int, eps: float = DEFAULT_EPS,
-                   _bell_high: bool = True) -> np.ndarray:
+                   _targets: np.ndarray | None = None) -> np.ndarray:
     """Sender-side unitary finishing the canonicalization.
 
     Writing the post-u_b state as sum_k |a_k>_A (x) |k>_B over the
     receiver's computational basis, the vectors a_k are orthogonal with
     norms given by the (factorized) receiver spectrum; the canonical state
-    expands the same way with target vectors t_k.  u_a is the unitary
-    carrying each a_k to t_k, built by ordered Gram-Schmidt over the
-    nonzero-weight indices on both sides and completed deterministically
-    against the computational basis.  Zero-weight indices never occur in
-    the state and are covered by the completion.
-    """
-    if not verify_condition(channel, u_b, d, eps):
-        raise ValueError("factorization condition fails at this d")
-    m, n = len(channel.alice), len(channel.bob)
-    dim_a = 1 << m
-    source = bipartition_matrix(channel) @ np.asarray(u_b, dtype=np.complex128).T
-    mu, basis = _residual_frame(channel, u_b, d)
-    targets = _target_columns(mu, basis, m, n, d, _bell_high)
-    weights = np.einsum("ak,ak->k", source.conj(), source).real
-    keep = [k for k in range(source.shape[1]) if weights[k] > ZERO_EIGENVALUE]
+    expands the same way with target vectors t_k.  Over the nonzero-weight
+    indices both sides have the same Gram matrix, so their QR frames with
+    positive diagonals share one R, and u_a = Q_t Q_s† carries each a_k to
+    t_k.  Zero-weight indices never occur in the state; there u_a maps the
+    QR completion of one frame onto the other's.
 
-    q_src = np.zeros((dim_a, dim_a), dtype=complex)
-    q_tgt = np.zeros((dim_a, dim_a), dtype=complex)
-    kcount = _gs_extend(q_src, 0, (source[:, k] for k in keep), len(keep), strict=True)
-    _gs_extend(q_tgt, 0, (targets[:, k] for k in keep), len(keep), strict=True)
-    eye = np.eye(dim_a, dtype=complex)
-    _gs_extend(q_src, kcount, (eye[:, j] for j in range(dim_a)), dim_a - kcount, strict=False)
-    _gs_extend(q_tgt, kcount, (eye[:, j] for j in range(dim_a)), dim_a - kcount, strict=False)
-    u_a = q_tgt @ q_src.conj().T
+    analyze passes the target columns it has built from the density it
+    certified.  Otherwise the certificate is checked here and the sender's
+    Bell halves go on her leading qubits.
+    """
+    u_b = np.asarray(u_b, dtype=np.complex128)
+    m, n = len(channel.alice), len(channel.bob)
+    if _targets is None:
+        if not verify_condition(channel, u_b, d, eps):
+            raise ValueError("factorization condition fails at this d")
+        _, eta_hat = _transformed(reduced_density(channel, "bob"), u_b, d)
+        _targets = _target_columns(eta_hat, m, n, d, bell_high=True)
+    source = bipartition_matrix(channel) @ u_b.T
+    weights = np.einsum("ak,ak->k", source.conj(), source).real
+    keep = np.flatnonzero(weights > ZERO_EIGENVALUE)
+    u_a = _completed_frame(_targets[:, keep]) @ _completed_frame(source[:, keep]).conj().T
     if not linalg.is_unitary(u_a, 1e-9):
         raise ArithmeticError("synthesized sender unitary failed the unitarity check")
     return u_a
@@ -318,9 +308,11 @@ def analyze(channel: ChannelState, eps: float = DEFAULT_EPS) -> AnalysisReport:
     clusters = cluster_spectrum(w, eps, eigenvectors=v)
     d = max_capacity(clusters, m, n)
     u_struct, eta, _ = synthesize_u_b(oriented, clusters, d)
-    if not verify_condition(oriented, u_struct, d, eps):
+    rho_t, eta_hat = _transformed(rho, u_struct, d)
+    if not _factors(rho_t, eta_hat, d, eps):
         raise ArithmeticError("factorization condition failed after synthesis")
-    u_purif = synthesize_u_a(oriented, u_struct, d, eps, _bell_high=not swapped)
+    targets = _target_columns(eta_hat, m, n, d, bell_high=not swapped)
+    u_purif = synthesize_u_a(oriented, u_struct, d, eps, _targets=targets)
 
     entropy = _spectrum_entropy(np.clip(w, 0.0, None))
     a_slots = range(d) if not swapped else range(m_out - d, m_out)
@@ -351,8 +343,8 @@ def canonical_state(channel: ChannelState, report: AnalysisReport) -> PureState:
     u_struct = report.u_a if report.swapped else report.u_b
     d = report.capacity
     m, n = len(oriented.alice), len(oriented.bob)
-    mu, basis = _residual_frame(oriented, u_struct, d)
-    cols = _target_columns(mu, basis, m, n, d, bell_high=not report.swapped)
+    _, eta_hat = _transformed(reduced_density(oriented, "bob"), u_struct, d)
+    cols = _target_columns(eta_hat, m, n, d, bell_high=not report.swapped)
     cols = cols / np.linalg.norm(cols)
     psi = cols.reshape((2,) * (m + n))
     psi = np.transpose(psi, np.argsort(oriented.alice + oriented.bob))

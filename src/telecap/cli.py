@@ -27,6 +27,7 @@ import numpy as np
 
 from .capacity import (
     DEFAULT_EPS,
+    _two_adic,
     analyze,
     max_capacity,
     reduced_density,
@@ -90,6 +91,11 @@ def encode_state(state: PureState, alice=None, bob=None) -> dict:
     return doc
 
 
+def _is_int(x) -> bool:
+    """JSON integer; true and false are not qubit counts or labels."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def decode_state(doc) -> tuple[PureState, tuple | None, tuple | None]:
     """Rebuild a state (and split, when present) from a parsed document.
 
@@ -103,7 +109,7 @@ def decode_state(doc) -> tuple[PureState, tuple | None, tuple | None]:
         raise CliFailure(EXIT_MALFORMED, f"missing format tag '{_FORMAT}'")
     qubits = doc.get("qubits")
     amps = doc.get("amplitudes")
-    if not isinstance(qubits, int) or not 1 <= qubits <= 16:
+    if not _is_int(qubits) or not 1 <= qubits <= 16:
         raise CliFailure(EXIT_MALFORMED, "qubits must be an integer in 1..16")
     if not isinstance(amps, list) or len(amps) != 1 << qubits:
         raise CliFailure(EXIT_MALFORMED, "amplitude count must equal 2**qubits")
@@ -127,7 +133,7 @@ def decode_state(doc) -> tuple[PureState, tuple | None, tuple | None]:
         return state, None, None
     alice, bob = doc["alice"], doc["bob"]
     if not isinstance(alice, list) or not isinstance(bob, list) or \
-            not all(isinstance(q, int) for q in alice + bob):
+            not all(_is_int(q) for q in alice + bob):
         raise CliFailure(EXIT_MALFORMED, "alice and bob must be integer lists")
     return state, tuple(alice), tuple(bob)
 
@@ -176,10 +182,6 @@ def _matrix_json(m) -> list | None:
     if m is None:
         return None
     return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m)]
-
-
-def _two_adic(k: int) -> int:
-    return (k & -k).bit_length() - 1
 
 
 def _print_clusters(clusters) -> None:

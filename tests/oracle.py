@@ -101,3 +101,40 @@ def entropy_bits_direct(p) -> float:
         if w > 1e-18:
             total -= w * np.log2(w)
     return total
+
+
+def gram_schmidt_unitary(source: np.ndarray, targets: np.ndarray,
+                         zero: float = 1e-12, accept: float = 1e-7) -> np.ndarray:
+    """Unitary carrying each nonzero-weight source column onto the matching
+    target column, by ordered Gram-Schmidt.
+
+    Both frames orthogonalize their kept columns one at a time, twice per
+    column, and are then completed against the computational basis in
+    order; the unitary maps the source frame onto the target frame.  A kept
+    column with residual norm at or below accept is rank deficient.
+    """
+    dim = source.shape[0]
+    keep = [k for k in range(source.shape[1])
+            if np.vdot(source[:, k], source[:, k]).real > zero]
+    eye = np.eye(dim, dtype=complex)
+
+    def frame(cols: np.ndarray) -> np.ndarray:
+        q = np.zeros((dim, dim), dtype=complex)
+        filled = 0
+        candidates = [(cols[:, k], True) for k in keep] + [(eye[:, j], False) for j in range(dim)]
+        for v, strict in candidates:
+            if filled == dim:
+                break
+            w = np.array(v, dtype=complex)
+            for _ in range(2):
+                w -= q[:, :filled] @ (q[:, :filled].conj().T @ w)
+            nw = np.linalg.norm(w)
+            if nw <= accept:
+                if strict:
+                    raise ArithmeticError("kept columns are rank deficient")
+                continue
+            q[:, filled] = w / nw
+            filled += 1
+        return q
+
+    return frame(targets) @ frame(source).conj().T

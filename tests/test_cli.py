@@ -10,6 +10,8 @@ from telecap.cli import (
     EXIT_MALFORMED,
     EXIT_NORM,
     EXIT_OK,
+    CliFailure,
+    decode_state,
     load_state_file,
     main,
     save_state_file,
@@ -258,6 +260,25 @@ class TestStateFiles:
         doc["bob"] = [1]
         path = write_doc(tmp_path, "split.json", doc)
         assert run("analyze", path)[0] == EXIT_INFEASIBLE
+
+    def test_boolean_qubit_count(self, run, bell_file, tmp_path):
+        # true would otherwise pass as a 1-qubit payload
+        doc = {"format": "telecap-state", "qubits": True,
+               "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}
+        with pytest.raises(CliFailure) as info:
+            decode_state(doc)
+        assert info.value.code == EXIT_MALFORMED
+        path = write_doc(tmp_path, "payload.json", doc)
+        code, _, err = run("teleport", bell_file, path)
+        assert code == EXIT_MALFORMED and "qubits" in err
+
+    @pytest.mark.parametrize("alice,bob", [([False], [True]), ([0], [True])])
+    def test_boolean_split_labels(self, run, tmp_path, alice, bob):
+        doc = bell_doc()
+        doc["alice"], doc["bob"] = alice, bob
+        path = write_doc(tmp_path, "split.json", doc)
+        code, _, err = run("analyze", path)
+        assert code == EXIT_MALFORMED and "integer lists" in err
 
 
 class TestArgumentHandling:

@@ -1,0 +1,109 @@
+"""The QR-built sender unitary against the Gram-Schmidt oracle, and the
+one-pass analysis that feeds it."""
+
+import numpy as np
+import pytest
+
+from oracle import gram_schmidt_unitary
+from telecap import capacity
+from telecap.capacity import (
+    analyze,
+    bipartition_matrix,
+    canonical_state,
+    reduced_density,
+    synthesize_u_a,
+    synthesize_u_b,
+    verify_condition,
+)
+from telecap.corpus import generate_planted, ghz_channel, n_bell_channel
+from telecap.linalg import cluster_spectrum, hermitian_eig
+from telecap.states import ChannelState, random_pure_state
+from telecap.teleport import teleport_bell
+
+PLANTED_SMALL = [(m, n, d) for m in range(1, 8) for n in range(1, 9 - m)
+                 for d in range(min(m, n) + 1)]
+
+
+def unitarity_defect(u: np.ndarray) -> float:
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+
+
+def check_against_oracle(channel: ChannelState) -> None:
+    """u_a's action on the support, its unitarity and the certificate."""
+    rep = analyze(channel)
+    oriented = channel.swapped() if rep.swapped else channel
+    u_struct, u_purif = (rep.u_a, rep.u_b) if rep.swapped else (rep.u_b, rep.u_a)
+    canonical = ChannelState(canonical_state(channel, rep), oriented.alice, oriented.bob)
+    source = bipartition_matrix(oriented) @ u_struct.T
+    targets = bipartition_matrix(canonical)
+    support = source[:, np.einsum("ak,ak->k", source.conj(), source).real > 1e-12]
+    oracle = gram_schmidt_unitary(source, targets)
+    assert np.max(np.abs(u_purif @ support - oracle @ support)) <= 1e-12
+    assert unitarity_defect(rep.u_a) <= 1e-12
+    assert unitarity_defect(rep.u_b) <= 1e-12
+    assert verify_condition(oriented, u_struct, rep.capacity)
+
+
+@pytest.mark.parametrize("m,n,d", PLANTED_SMALL)
+def test_planted_matches_gram_schmidt(m, n, d):
+    check_against_oracle(generate_planted(m, n, d, seed=1000 + 64 * m + 8 * n + d).channel)
+
+
+@pytest.mark.parametrize("size,m", [(3, 1), (4, 2), (5, 3), (6, 1), (7, 5), (8, 4)])
+def test_ghz_matches_gram_schmidt(size, m):
+    check_against_oracle(ghz_channel(size, m))
+
+
+@pytest.mark.parametrize("pairs", [1, 2, 3, 4])
+def test_bell_stack_matches_gram_schmidt(pairs):
+    check_against_oracle(n_bell_channel(pairs, k=1 + pairs % 4))
+
+
+@pytest.mark.parametrize("m,n", [(10, 2), (2, 10)])
+def test_lopsided_twelve_qubits_teleport_faithfully(m, n):
+    channel = generate_planted(m, n, 2, seed=10 * m + n).channel
+    rep = analyze(channel)
+    assert rep.capacity == 2
+    res = teleport_bell(channel, random_pure_state(2, seed=m), rep)
+    assert len(res.branches) == 16
+    assert res.min_fidelity >= 1 - 1e-9
+
+
+def test_frame_rejects_dependent_columns():
+    v = np.arange(1, 9, dtype=complex)
+    with pytest.raises(ArithmeticError, match="rank deficient"):
+        capacity._completed_frame(np.column_stack([v, 2 * v]))
+    with pytest.raises(ArithmeticError, match="rank deficient"):
+        capacity._completed_frame(np.eye(2, 3, dtype=complex))
+
+
+def test_public_u_a_matches_analyze():
+    channel = generate_planted(4, 3, 2, seed=77).channel
+    rep = analyze(channel)
+    assert np.array_equal(synthesize_u_a(channel, rep.u_b, 2), rep.u_a)
+
+
+def test_u_b_needs_cluster_eigenvectors():
+    channel = generate_planted(2, 2, 1, seed=3).channel
+    w, _ = hermitian_eig(reduced_density(channel, "bob"))
+    with pytest.raises(ValueError, match="eigenvectors"):
+        synthesize_u_b(channel, cluster_spectrum(w, 1e-9), 1)
+
+
+@pytest.mark.parametrize("m,n,d", [(3, 3, 1), (4, 2, 2), (2, 4, 1)])
+def test_analyze_decomposes_once(monkeypatch, m, n, d):
+    calls = {"reduced_density": 0, "hermitian_eig": 0}
+
+    def counted(name):
+        fn = getattr(capacity, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(capacity, name, counted(name))
+    analyze(generate_planted(m, n, d, seed=5).channel)
+    # rho_B is formed once; one eigh of rho_B, one of the residual density
+    assert calls == {"reduced_density": 1, "hermitian_eig": 2}
