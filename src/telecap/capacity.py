@@ -26,6 +26,7 @@ Conventions fixed here and relied on by the teleport module:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +66,9 @@ class AnalysisReport:
     lists, role by role (Bell halves first, then residual), which slot of
     Bob's list plays that role after canonicalization.  pairs gives the
     global qubit labels (alice_qubit, bob_qubit) of the d Bell pairs.
+
+    The report holds read-only copies of the matrices it is given, so
+    writing to the caller's arrays afterwards does not change it.
     """
 
     entropy_bits: float
@@ -81,11 +85,20 @@ class AnalysisReport:
         for name in ("u_a", "u_b", "eta"):
             m = getattr(self, name)
             if m is not None:
-                m = np.asarray(m, dtype=np.complex128)
+                m = np.array(m, dtype=np.complex128)
                 m.setflags(write=False)
                 object.__setattr__(self, name, m)
         object.__setattr__(self, "pairs", tuple((int(a), int(b)) for a, b in self.pairs))
         object.__setattr__(self, "bob_relabeling", tuple(int(q) for q in self.bob_relabeling))
+
+    @cached_property
+    def unitary(self) -> bool:
+        """Whether u_a and u_b are unitary within 1e-9.
+
+        Checked on first use and cached, which is sound because the report
+        owns its read-only matrices.
+        """
+        return linalg.is_unitary(self.u_a, 1e-9) and linalg.is_unitary(self.u_b, 1e-9)
 
 
 def bipartition_matrix(channel: ChannelState) -> np.ndarray:
@@ -132,6 +145,12 @@ def max_capacity(clusters: SpectrumClusters, m: int, n: int) -> int:
     return min(d, m, n)
 
 
+def _relabeling(n: int, d: int) -> tuple[int, ...]:
+    """Receiver slot of each canonical role: the trailing d slots hold the
+    Bell halves, the leading n - d the residual."""
+    return tuple(range(n - d, n)) + tuple(range(n - d))
+
+
 def synthesize_u_b(channel: ChannelState, clusters: SpectrumClusters, d: int):
     """Receiver-side unitary factoring the reduced density at capacity d.
 
@@ -149,7 +168,7 @@ def synthesize_u_b(channel: ChannelState, clusters: SpectrumClusters, d: int):
     m, n = len(channel.alice), len(channel.bob)
     if not 0 <= d <= max_capacity(clusters, m, n):
         raise ValueError("d is not admissible for this spectrum")
-    relabeling = tuple(range(n - d, n)) + tuple(range(n - d))
+    relabeling = _relabeling(n, d)
     if d == n:
         # single flat cluster: the density already factors as I/2**n
         return np.eye(1 << n, dtype=complex), None, relabeling
@@ -315,12 +334,11 @@ def analyze(channel: ChannelState, eps: float = DEFAULT_EPS) -> AnalysisReport:
     u_purif = synthesize_u_a(oriented, u_struct, d, eps, _targets=targets)
 
     entropy = _spectrum_entropy(np.clip(w, 0.0, None))
+    relabeling = _relabeling(n_out, d)
     a_slots = range(d) if not swapped else range(m_out - d, m_out)
-    b_slots = range(n_out - d, n_out)
     pairs = tuple(
-        (channel.alice[ai], channel.bob[bi]) for ai, bi in zip(a_slots, b_slots)
+        (channel.alice[ai], channel.bob[bi]) for ai, bi in zip(a_slots, relabeling[:d])
     )
-    relabeling = tuple(range(n_out - d, n_out)) + tuple(range(n_out - d))
     u_a, u_b = (u_struct, u_purif) if swapped else (u_purif, u_struct)
     return AnalysisReport(
         entropy_bits=entropy,

@@ -142,6 +142,14 @@ def apply_unitary(state: PureState, u, targets) -> PureState:
     The operator's own big-endian qubit order matches the order of targets:
     its most significant qubit acts on targets[0].
     """
+    if not linalg.is_unitary(u, _UNITARY_TOL):
+        raise ValueError("operator is not unitary within 1e-9")
+    return _apply_operator(state, u, targets)
+
+
+def _apply_operator(state: PureState, u, targets) -> PureState:
+    """apply_unitary without the unitarity check, for callers that have
+    already checked the operator once."""
     targets = [int(q) for q in targets]
     n = state.n_qubits
     k = len(targets)
@@ -152,8 +160,6 @@ def apply_unitary(state: PureState, u, targets) -> PureState:
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (1 << k, 1 << k):
         raise ValueError("operator dimension does not match target count")
-    if not linalg.is_unitary(u, _UNITARY_TOL):
-        raise ValueError("operator is not unitary within 1e-9")
     rest = [q for q in range(n) if q not in set(targets)]
     psi = state.amplitudes.reshape((2,) * n)
     psi = np.transpose(psi, targets + rest).reshape(1 << k, -1)

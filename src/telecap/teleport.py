@@ -9,6 +9,16 @@ the Bell basis; the circuit flavour first applies the standard two-qubit
 measurement circuit and reads both qubits in the computational basis.  The
 two differ only in how the classical two-bit message is labeled.
 
+Every branch comes from one table.  Per used pair, one contraction of the
+joint state turns the (message, sender half) axes into an outcome axis and
+corrects the receiver half, so after k pairs the unnormalized amplitudes of
+all 4**k branches sit in an array no larger than the joint state.  Branch
+probabilities are the squared norms of its rows and fidelities their
+overlaps with the payload; exhaustive mode still reports all 4**k branches,
+and sample mode draws each round's outcome from the table's conditional
+probabilities.  bell_round and circuit_round replay a single round on a
+state and are not used by teleport_bell or teleport_circuit.
+
 Outcome index conventions, per pair:
 
 * Bell method: raw outcome r in 0..3 means Bell state r+1 was found, and
@@ -19,8 +29,8 @@ Outcome index conventions, per pair:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +40,7 @@ from .states import (
     UNREACHABLE_PROBABILITY,
     ChannelState,
     PureState,
+    _apply_operator,
     apply_unitary,
     basis_state,
     bell_state,
@@ -93,8 +104,36 @@ def circuit_unitary() -> np.ndarray:
     return np.kron(np.eye(2, dtype=complex), h) @ cnot
 
 
-_BELL_BASIS = tuple(bell_state(i) for i in (1, 2, 3, 4))
-_COMPUTATIONAL_2 = tuple(basis_state(((r >> 1) & 1, r & 1)) for r in range(4))
+@dataclass(frozen=True)
+class _Protocol:
+    """How one flavour reads a pair: apply pre_unitary (if any) to
+    (message, sender half), project onto basis[r] for raw outcome r, and
+    correct the receiver half with operator corrections[r]."""
+
+    basis: tuple[PureState, ...]
+    pre_unitary: np.ndarray | None
+    corrections: tuple[int, ...]
+
+    @cached_property
+    def pair_operator(self) -> np.ndarray:
+        """(4, 2, 4, 2) map from (message and sender half, receiver half) to
+        (raw outcome, corrected receiver half), unnormalized.
+
+        Row r of the covector matrix reads outcome r off the two measured
+        qubits: conj(basis[r]) after pre_unitary.
+        """
+        covectors = np.array([b.amplitudes for b in self.basis]).conj()
+        if self.pre_unitary is not None:
+            covectors = covectors @ self.pre_unitary
+        fixes = np.array([_CORRECTIONS[c - 1] for c in self.corrections])
+        return np.einsum("rx,rcb->rcxb", covectors, fixes)
+
+
+_PROTOCOLS = {
+    "bell": _Protocol(tuple(bell_state(i) for i in (1, 2, 3, 4)), None, (1, 2, 3, 4)),
+    "circuit": _Protocol(tuple(basis_state(((r >> 1) & 1, r & 1)) for r in range(4)),
+                         circuit_unitary(), (4, 3, 2, 1)),
+}
 
 
 @dataclass(frozen=True)
@@ -144,7 +183,7 @@ def bell_round(state: PureState, message_qubit: int, alice_qubit: int,
     is None when the forced outcome is unreachable.
     """
     return _round(state, (message_qubit, alice_qubit), bob_qubit,
-                  _BELL_BASIS, None, _bell_correction, outcome, rng)
+                  _PROTOCOLS["bell"], outcome, rng)
 
 
 def circuit_round(state: PureState, message_qubit: int, alice_qubit: int,
@@ -152,36 +191,26 @@ def circuit_round(state: PureState, message_qubit: int, alice_qubit: int,
     """One circuit round: run the measurement circuit on (message, sender
     half), read both in the computational basis, correct the receiver."""
     return _round(state, (message_qubit, alice_qubit), bob_qubit,
-                  _COMPUTATIONAL_2, circuit_unitary(), _circuit_correction,
-                  outcome, rng)
+                  _PROTOCOLS["circuit"], outcome, rng)
 
 
-def _bell_correction(raw: int) -> int:
-    return raw + 1
-
-
-def _circuit_correction(raw: int) -> int:
-    return 4 - raw
-
-
-def _round(state, targets, bob_qubit, basis, pre_unitary, to_correction,
-           outcome, rng):
-    if pre_unitary is not None:
-        state = apply_unitary(state, pre_unitary, targets)
+def _round(state, targets, bob_qubit, protocol: _Protocol, outcome, rng):
+    if protocol.pre_unitary is not None:
+        state = apply_unitary(state, protocol.pre_unitary, targets)
     if outcome is None:
         if rng is None:
             raise ValueError("sampling a round needs an rng")
         probs = np.array([
-            project_and_collapse(state, targets, basis, r)[0] for r in range(4)
+            project_and_collapse(state, targets, protocol.basis, r)[0] for r in range(4)
         ])
         outcome = int(rng.choice(4, p=probs / probs.sum()))
     elif outcome not in (0, 1, 2, 3):
         raise ValueError("raw outcome must be 0..3")
-    probability, collapsed = project_and_collapse(state, targets, basis, outcome)
+    probability, collapsed = project_and_collapse(state, targets, protocol.basis, outcome)
     if collapsed is None:
         return outcome, probability, None
     corrected = apply_unitary(
-        collapsed, correction_operator(to_correction(outcome)), [bob_qubit]
+        collapsed, correction_operator(protocol.corrections[outcome]), [bob_qubit]
     )
     return outcome, probability, corrected
 
@@ -194,22 +223,34 @@ def _prepare(channel: ChannelState, payload: PureState, report: AnalysisReport):
         raise CapacityShortfall(
             f"payload has {k} qubits but the channel teleports {report.capacity}"
         )
+    if not report.unitary:
+        raise ValueError("report's u_a or u_b is not unitary within 1e-9")
     joint = tensor([payload, channel.state])
-    joint = apply_unitary(joint, report.u_a, [q + k for q in channel.alice])
-    joint = apply_unitary(joint, report.u_b, [q + k for q in channel.bob])
+    joint = _apply_operator(joint, report.u_a, [q + k for q in channel.alice])
+    joint = _apply_operator(joint, report.u_b, [q + k for q in channel.bob])
     triples = [(t, a + k, b + k) for t, (a, b) in enumerate(report.pairs[:k])]
+    return joint, triples
+
+
+def _branch_table(joint: PureState, triples, pair_operator: np.ndarray) -> np.ndarray:
+    """Unnormalized amplitudes of every branch, shape (4**k, 2**k, rest).
+
+    Axis 0 packs the raw outcomes, pair 0 most significant; axis 1 holds
+    the receiver halves in pair order, already corrected; axis 2 runs over
+    the qubits the protocol leaves alone.  Each pair is one contraction of
+    its (message, sender half, receiver half) axes with the protocol's
+    pair operator, so the table is the same size as the joint state.
+    """
+    k, n = len(triples), joint.n_qubits
+    measured = [q for t, a, _ in triples for q in (t, a)]
     receiving = [b for _, _, b in triples]
-    return joint, triples, receiving
-
-
-def _received_fidelity(state: PureState, receiving, payload: PureState) -> float:
-    """Fidelity <payload| rho |payload> of the receiver's marginal."""
-    n = state.n_qubits
-    rest = [q for q in range(n) if q not in set(receiving)]
-    psi = state.amplitudes.reshape((2,) * n)
-    psi = np.transpose(psi, list(receiving) + rest).reshape(1 << len(receiving), -1)
-    vec = payload.amplitudes.conj() @ psi
-    return float(np.real(np.vdot(vec, vec)))
+    rest = [q for q in range(n) if q not in set(measured + receiving)]
+    psi = joint.amplitudes.reshape((2,) * n).transpose(measured + receiving + rest)
+    psi = psi.reshape((4,) * k + (2,) * k + (-1,))
+    for t in range(k):
+        psi = np.moveaxis(np.tensordot(pair_operator, psi, axes=((2, 3), (t, k + t))),
+                          (0, 1), (t, k + t))
+    return psi.reshape(1 << (2 * k), 1 << k, -1)
 
 
 def received_state(state: PureState, qubits) -> tuple[PureState, float]:
@@ -228,54 +269,47 @@ def received_state(state: PureState, qubits) -> tuple[PureState, float]:
     return PureState(u[:, 0] / np.linalg.norm(u[:, 0])), float(s[0] ** 2)
 
 
-def _run_exhaustive(joint, triples, round_fn):
-    for combo in itertools.product(range(4), repeat=len(triples)):
-        state, probability = joint, 1.0
-        dead = False
-        for (msg, a, b), raw in zip(triples, combo):
-            _, p, state = round_fn(state, msg, a, b, outcome=raw)
-            probability *= p
-            if state is None:
-                dead = True
-                break
-        if not dead and probability > UNREACHABLE_PROBABILITY:
-            yield combo, probability, state
-
-
-def _run_sampled(joint, triples, round_fn, seed, trials):
+def _sampled_indices(probabilities: np.ndarray, k: int, seed, trials: int):
+    """Branch index of each trial: one child generator per trial draws the
+    pairs' outcomes in order, each from its conditional given the earlier
+    ones (prefix marginals of the branch probabilities)."""
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
+    marginals = [probabilities.reshape(4 ** (t + 1), -1).sum(axis=1) for t in range(k)]
     for child in seed.spawn(trials):
         rng = np.random.default_rng(child)
-        state, probability, combo = joint, 1.0, []
-        for msg, a, b in triples:
-            raw, p, state = round_fn(state, msg, a, b, rng=rng)
-            probability *= p
-            combo.append(raw)
-        yield tuple(combo), probability, state
+        index = 0
+        for marginal in marginals:
+            cond = marginal[4 * index:4 * index + 4]
+            index = 4 * index + int(rng.choice(4, p=cond / cond.sum()))
+        yield index
 
 
-def _teleport(channel, payload, report, round_fn, method, mode, seed, trials, eps):
+def _teleport(channel, payload, report, method, mode, seed, trials, eps):
     if report is None:
         report = analyze(channel, eps)
-    joint, triples, receiving = _prepare(channel, payload, report)
-    to_correction = _bell_correction if method == "bell" else _circuit_correction
-    if mode == "exhaustive":
-        runs = _run_exhaustive(joint, triples, round_fn)
-    elif mode == "sample":
-        if trials < 1:
-            raise ValueError("trials must be at least 1")
-        runs = _run_sampled(joint, triples, round_fn, seed, trials)
-    else:
+    joint, triples = _prepare(channel, payload, report)
+    if mode not in ("exhaustive", "sample"):
         raise ValueError("mode must be 'exhaustive' or 'sample'")
+    if mode == "sample" and trials < 1:
+        raise ValueError("trials must be at least 1")
+    k = len(triples)
+    protocol = _PROTOCOLS[method]
+    table = _branch_table(joint, triples, protocol.pair_operator)
+    probabilities = np.einsum("rjs,rjs->r", table.conj(), table).real
+    if mode == "exhaustive":
+        indices = np.flatnonzero(probabilities > UNREACHABLE_PROBABILITY)
+    else:
+        indices = np.fromiter(_sampled_indices(probabilities, k, seed, trials), dtype=np.intp)
+    # fidelity <payload| rho_r |payload> of the receiver's normalized marginal
+    overlaps = np.einsum("j,rjs->rs", payload.amplitudes.conj(), table)
+    captured = np.einsum("rs,rs->r", overlaps.conj(), overlaps).real
+    fidelities = captured[indices] / probabilities[indices]
+    outcomes = np.stack(np.unravel_index(indices, (4,) * k), axis=1).tolist()
     branches = tuple(
-        BranchOutcome(
-            combo,
-            tuple(to_correction(r) for r in combo),
-            probability,
-            _received_fidelity(state, receiving, payload),
-        )
-        for combo, probability, state in runs
+        BranchOutcome(tuple(combo), tuple(protocol.corrections[r] for r in combo),
+                      float(probabilities[i]), float(f))
+        for combo, i, f in zip(outcomes, indices, fidelities)
     )
     return TeleportResult(method, report.capacity, payload.n_qubits, branches)
 
@@ -285,14 +319,13 @@ def teleport_bell(channel: ChannelState, payload: PureState,
                   seed=None, trials: int = 1, eps: float = DEFAULT_EPS) -> TeleportResult:
     """Teleport the payload with per-pair Bell measurements.
 
-    Exhaustive mode walks all 4**k classical branches (omitting those with
+    Exhaustive mode lists all 4**k classical branches (omitting those with
     probability below 1e-12); sample mode draws `trials` runs from the seeded
     generator, one branch record per run.  The payload may use any number of
     qubits up to the channel capacity; an oversized payload raises
     CapacityShortfall.
     """
-    return _teleport(channel, payload, report, bell_round, "bell", mode,
-                     seed, trials, eps)
+    return _teleport(channel, payload, report, "bell", mode, seed, trials, eps)
 
 
 def teleport_circuit(channel: ChannelState, payload: PureState,
@@ -301,11 +334,10 @@ def teleport_circuit(channel: ChannelState, payload: PureState,
     """Teleport the payload with the measurement circuit on each pair.
 
     Equivalent to teleport_bell branch by branch under the raw-outcome
-    relabeling r -> 4 - r (multi-qubit payloads go through one pair at a
+    relabeling r -> 3 - r (multi-qubit payloads go through one pair at a
     time, so the relabeling applies per pair).
     """
-    return _teleport(channel, payload, report, circuit_round, "circuit", mode,
-                     seed, trials, eps)
+    return _teleport(channel, payload, report, "circuit", mode, seed, trials, eps)
 
 
 def expansion_identity_defect(psi: PureState) -> float:

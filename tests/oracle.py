@@ -138,3 +138,75 @@ def gram_schmidt_unitary(source: np.ndarray, targets: np.ndarray,
         return q
 
     return frame(targets) @ frame(source).conj().T
+
+
+_SQRT_HALF = 1.0 / np.sqrt(2.0)
+# Bell states 1..4: singlet, (|01> + |10>), (|00> - |11>), (|00> + |11>)
+_BELL_VECTORS = tuple(np.array(v, dtype=complex) * _SQRT_HALF for v in
+                      ([0, 1, -1, 0], [0, 1, 1, 0], [1, 0, 0, -1], [1, 0, 0, 1]))
+# corrections 1..4: identity, sigma_z, -sigma_x, i sigma_y
+_FIXES = tuple(np.array(m, dtype=complex) for m in
+               ([[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, -1], [-1, 0]], [[0, 1], [-1, 0]]))
+# CNOT (control = second qubit, target = first), then H on the second qubit
+_MEASUREMENT_CIRCUIT = np.array([[1, 0, 0, 1], [1, 0, 0, -1],
+                                 [0, 1, 1, 0], [0, -1, 1, 0]], dtype=complex) * _SQRT_HALF
+
+
+def _act(psi: np.ndarray, op: np.ndarray, targets, n: int) -> np.ndarray:
+    """op on the listed qubits of a 2**n vector, by an explicit axis shuffle."""
+    targets = list(targets)
+    order = targets + [q for q in range(n) if q not in targets]
+    t = psi.reshape((2,) * n).transpose(order).reshape(1 << len(targets), -1)
+    t = (op @ t).reshape((2,) * n)
+    return t.transpose(np.argsort(order)).reshape(-1)
+
+
+def sequential_teleport(channel: ChannelState, payload: np.ndarray, report, method: str,
+                        zero: float = 1e-12):
+    """Every branch of a protocol run, replayed one round at a time.
+
+    The joint state payload (x) channel (payload qubits first) is turned
+    canonical with the report's u_a and u_b.  Round t then measures
+    (payload qubit t, sender half of pair t) and corrects the receiver half
+    with the 8x8 matrix embed_operator(fix) @ embed_operator(projector) on
+    those three qubits, renormalizes, and multiplies the branch probability.
+    Bell rounds project onto Bell state r+1 and correct with r+1; circuit
+    rounds project onto the state the measurement circuit carries to |r>
+    and correct with 4-r.  A round with probability at or below zero ends
+    its branch.  Returns (outcomes, corrections, probability, fidelity) per
+    surviving branch, outcomes in lexicographic order.
+    """
+    k = int(np.log2(payload.size))
+    n = k + channel.state.n_qubits
+    psi = np.kron(payload, channel.state.amplitudes)
+    psi = _act(psi, report.u_a, [q + k for q in channel.alice], n)
+    psi = _act(psi, report.u_b, [q + k for q in channel.bob], n)
+    if method == "bell":
+        vectors, fixes = _BELL_VECTORS, (1, 2, 3, 4)
+    else:
+        vectors, fixes = tuple(_MEASUREMENT_CIRCUIT[r].conj() for r in range(4)), (4, 3, 2, 1)
+    rounds = [embed_operator(_FIXES[fixes[r] - 1], [2], 3)
+              @ embed_operator(np.outer(vectors[r], vectors[r].conj()), [0, 1], 3)
+              for r in range(4)]
+    receivers = [b + k for _, b in report.pairs[:k]]
+    branches = []
+
+    def walk(state, outcomes, probability):
+        t = len(outcomes)
+        if t == k:
+            if probability > zero:
+                order = receivers + [q for q in range(n) if q not in receivers]
+                mat = state.reshape((2,) * n).transpose(order).reshape(1 << k, -1)
+                overlap = payload.conj() @ mat
+                branches.append((outcomes, tuple(fixes[r] for r in outcomes), probability,
+                                 float(np.vdot(overlap, overlap).real)))
+            return
+        a, b = report.pairs[t]
+        for r in range(4):
+            after = _act(state, rounds[r], [t, a + k, b + k], n)
+            p = float(np.vdot(after, after).real)
+            if p > zero:
+                walk(after / np.sqrt(p), outcomes + (r,), probability * p)
+
+    walk(psi, (), 1.0)
+    return branches

@@ -1,0 +1,89 @@
+"""The one-contraction branch table against the sequential oracle, and
+sampled outcome sequences pinned from the round-by-round simulator."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from oracle import sequential_teleport
+from telecap.capacity import analyze
+from telecap.corpus import generate_planted, ghz_channel, n_bell_channel
+from telecap.states import random_pure_state
+from telecap.teleport import teleport_bell, teleport_circuit
+
+TELEPORTS = {"bell": teleport_bell, "circuit": teleport_circuit}
+
+GRID = (
+    [(f"bell{n}", lambda n=n: n_bell_channel(n), n) for n in (1, 2, 3, 4)]
+    + [(f"planted{m}x{n}", lambda m=m, n=n: generate_planted(m, n, 2, seed=70 + m).channel, 2)
+       for m, n in ((3, 3), (2, 4), (4, 2))]
+    + [(f"planted5x5.k{k}", lambda: generate_planted(5, 5, 3, seed=75).channel, k)
+       for k in (1, 2, 3)]
+    + [("planted6x6.k4", lambda: generate_planted(6, 6, 4, seed=76).channel, 4),
+       ("ghz5.split2", lambda: ghz_channel(5, 2), 1)]
+)
+
+
+def _skewed(channel, report):
+    """The report with both unitaries replaced by the identity: the channel
+    is no longer canonical, so branch probabilities and fidelities spread."""
+    eye = lambda u: np.eye(u.shape[0])  # noqa: E731
+    return dataclasses.replace(report, u_a=eye(report.u_a), u_b=eye(report.u_b))
+
+
+def _assert_matches_oracle(channel, payload, report, method):
+    result = TELEPORTS[method](channel, payload, report)
+    want = sequential_teleport(channel, payload.amplitudes, report, method)
+    assert [b.outcomes for b in result.branches] == [w[0] for w in want]
+    assert [b.corrections for b in result.branches] == [w[1] for w in want]
+    for got, (_, _, probability, fidelity) in zip(result.branches, want):
+        assert abs(got.probability - probability) <= 1e-12
+        assert abs(got.fidelity - fidelity) <= 1e-12
+
+
+@pytest.mark.parametrize("method", sorted(TELEPORTS))
+@pytest.mark.parametrize("label,build,k", GRID, ids=[g[0] for g in GRID])
+def test_exhaustive_matches_sequential_oracle(label, build, k, method):
+    channel = build()
+    report = analyze(channel)
+    _assert_matches_oracle(channel, random_pure_state(k, seed=900 + k), report, method)
+
+
+@pytest.mark.parametrize("method", sorted(TELEPORTS))
+def test_non_canonical_report_matches_sequential_oracle(method):
+    channel = generate_planted(3, 3, 2, seed=16).channel
+    report = _skewed(channel, analyze(channel))
+    result = TELEPORTS[method](channel, random_pure_state(2, 17), report)
+    assert result.min_fidelity < 0.5
+    _assert_matches_oracle(channel, random_pure_state(2, 17), report, method)
+
+
+# Recorded with the round-by-round simulator (per-trial SeedSequence.spawn,
+# one rng.choice per round), 10 trials each, as raw outcomes per trial.
+PINNED = {
+    ("canonical", "bell", 3): "21 02 00 12 30 33 11 31 10 03",
+    ("canonical", "bell", 5): "13 10 21 22 00 03 10 10 20 31",
+    ("canonical", "bell", 8): "21 11 00 03 12 03 20 00 10 02",
+    ("canonical", "circuit", 3): "21 02 00 12 30 33 11 31 10 03",
+    ("canonical", "circuit", 5): "13 10 21 22 00 03 10 10 20 31",
+    ("canonical", "circuit", 8): "21 11 00 03 12 03 20 00 10 02",
+    ("skewed", "bell", 3): "21 02 00 11 30 33 11 31 11 03",
+    ("skewed", "bell", 5): "13 00 21 22 00 03 10 10 21 31",
+    ("skewed", "bell", 8): "21 11 00 03 12 03 20 00 10 02",
+    ("skewed", "circuit", 3): "21 02 00 12 30 33 01 31 10 03",
+    ("skewed", "circuit", 5): "12 00 21 22 00 03 00 10 20 31",
+    ("skewed", "circuit", 8): "21 11 00 03 02 03 10 00 10 02",
+}
+
+
+@pytest.mark.parametrize("kind,method,seed", sorted(PINNED))
+def test_sampled_sequences_are_pinned(kind, method, seed):
+    channel = generate_planted(3, 3, 2, seed=16).channel
+    report = analyze(channel)
+    if kind == "skewed":
+        report = _skewed(channel, report)
+    result = TELEPORTS[method](channel, random_pure_state(2, 17), report,
+                               mode="sample", seed=seed, trials=10)
+    got = " ".join("".join(map(str, b.outcomes)) for b in result.branches)
+    assert got == PINNED[kind, method, seed]

@@ -233,6 +233,14 @@ class TestAnalyze:
         assert rep.pairs == ((0, 3), (1, 4))
         assert rep.bob_relabeling == (0, 1)
 
+    @pytest.mark.parametrize("m,n,d", [(3, 2, 2), (4, 2, 1), (5, 3, 3), (2, 4, 2),
+                                       (1, 3, 1), (3, 5, 2)])
+    def test_pairs_follow_relabeling(self, m, n, d):
+        ch = generate_planted(m, n, d, seed=40 + m).channel
+        rep = analyze(ch)
+        assert rep.swapped == (m < n) and rep.capacity == d
+        assert [b for _, b in rep.pairs] == [ch.bob[i] for i in rep.bob_relabeling[:d]]
+
     def test_unitaries_act_locally(self):
         p = generate_planted(2, 2, 1, seed=14)
         rep = analyze(p.channel)

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from telecap import linalg
 from telecap.capacity import analyze
 from telecap.corpus import generate_planted, ghz_channel, n_bell_channel
 from telecap.states import (
@@ -224,3 +227,42 @@ class TestMethodEquivalence:
             assert twin.corrections == cb.corrections
             assert cb.probability == pytest.approx(twin.probability, abs=1e-10)
             assert cb.fidelity == pytest.approx(twin.fidelity, abs=1e-10)
+
+
+class TestReportChecks:
+    def _planted(self):
+        ch = generate_planted(2, 2, 1, seed=14).channel
+        return ch, analyze(ch), random_pure_state(1, 3)
+
+    @pytest.mark.parametrize("name", ["u_a", "u_b"])
+    def test_non_unitary_report_rejected(self, name):
+        ch, rep, payload = self._planted()
+        bad = dataclasses.replace(rep, **{name: 2 * getattr(rep, name)})
+        for run in (teleport_bell, teleport_circuit):
+            for mode in ("exhaustive", "sample"):
+                with pytest.raises(ValueError, match="unitary"):
+                    run(ch, payload, bad, mode=mode, seed=1, trials=2)
+
+    def test_caller_writes_do_not_reach_report(self):
+        ch, rep, payload = self._planted()
+        u_a = rep.u_a.copy()
+        own = dataclasses.replace(rep, u_a=u_a)
+        assert teleport_bell(ch, payload, own).min_fidelity > 1 - 1e-9
+        u_a[:] = 0.0
+        assert np.array_equal(own.u_a, rep.u_a) and not own.u_a.flags.writeable
+        assert teleport_circuit(ch, payload, own).min_fidelity > 1 - 1e-9
+
+    def test_unitarity_checked_once_per_report(self, monkeypatch):
+        ch, rep, payload = self._planted()
+        calls = []
+        check = linalg.is_unitary
+
+        def counted(u, tol=1e-9):
+            calls.append(u)
+            return check(u, tol)
+
+        monkeypatch.setattr(linalg, "is_unitary", counted)
+        for run in (teleport_bell, teleport_circuit):
+            run(ch, payload, rep)
+            run(ch, payload, rep, mode="sample", seed=1, trials=3)
+        assert len(calls) == 2
