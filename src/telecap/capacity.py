@@ -25,7 +25,7 @@ Conventions fixed here and relied on by the teleport module:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -53,6 +53,7 @@ DEFAULT_EPS = 1e-9
 ZERO_EIGENVALUE = 1e-12  # branch weight below this is treated as absent
 
 _GS_ACCEPT = 1e-7  # Gram-Schmidt residual norm below which columns are dependent
+_FACTOR_TOL = 1e-10  # spectral-norm defect allowed in u_a's small factors
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,10 @@ class AnalysisReport:
     global qubit labels (alice_qubit, bob_qubit) of the d Bell pairs.
 
     The report holds read-only copies of the matrices it is given, so
-    writing to the caller's arrays afterwards does not change it.
+    writing to the caller's arrays afterwards does not change it.  analyze
+    marks the purifying unitary (u_a, or u_b when swapped) as already
+    checked; the mark is not an init field, so dataclasses.replace and
+    hand-built reports start unmarked.
     """
 
     entropy_bits: float
@@ -80,6 +84,7 @@ class AnalysisReport:
     bob_relabeling: tuple[int, ...]
     pairs: tuple[tuple[int, int], ...]
     swapped: bool
+    _purifier_checked: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("u_a", "u_b", "eta"):
@@ -96,9 +101,13 @@ class AnalysisReport:
         """Whether u_a and u_b are unitary within 1e-9.
 
         Checked on first use and cached, which is sound because the report
-        owns its read-only matrices.
+        owns its read-only matrices.  The dense check runs on the structural
+        side (the smaller party), and on the purifying side only when
+        analyze has not already checked it.
         """
-        return linalg.is_unitary(self.u_a, 1e-9) and linalg.is_unitary(self.u_b, 1e-9)
+        structural, purifying = (self.u_a, self.u_b) if self.swapped else (self.u_b, self.u_a)
+        return linalg.is_unitary(structural, 1e-9) and (
+            self._purifier_checked or linalg.is_unitary(purifying, 1e-9))
 
 
 def bipartition_matrix(channel: ChannelState) -> np.ndarray:
@@ -131,7 +140,7 @@ def entanglement_entropy(channel: ChannelState) -> float:
 
 def _spectrum_entropy(p: np.ndarray) -> float:
     p = p[p > 1e-18]
-    return float(-(p @ np.log2(p)))
+    return float(-(p @ np.log2(p)) + 0.0)  # + 0.0 turns a product state's -0.0 into 0.0
 
 
 def _two_adic(k: int) -> int:
@@ -280,11 +289,25 @@ def synthesize_u_a(channel: ChannelState, u_b, d: int, eps: float = DEFAULT_EPS,
     Writing the post-u_b state as sum_k |a_k>_A (x) |k>_B over the
     receiver's computational basis, the vectors a_k are orthogonal with
     norms given by the (factorized) receiver spectrum; the canonical state
-    expands the same way with target vectors t_k.  Over the nonzero-weight
-    indices both sides have the same Gram matrix, so their QR frames with
-    positive diagonals share one R, and u_a = Q_t Q_s† carries each a_k to
-    t_k.  Zero-weight indices never occur in the state; there u_a maps the
-    QR completion of one frame onto the other's.
+    expands the same way with target vectors t_k.  Over the r
+    nonzero-weight indices both sides have the same Gram matrix, so their
+    QR frames with positive diagonals share one R, and the unitary mapping
+    the source frame onto the target frame carries each a_k to t_k.
+    Zero-weight indices never occur in the state.
+
+    When 2r is at least the sender's dimension 2**m, u_a = Q_t Q_s† from
+    complete QRs of the kept columns S and T, checked densely to 1e-9.
+    Otherwise W, the reduced Householder QR factor of [S | T], spans both
+    sets of columns with 2r orthonormal columns, and the same frames are
+    built for the projections W†S and W†T, giving a 2r x 2r unitary C.
+    Then u_a = I + W (C - I) W†, the identity on the complement of
+    span[S, T], at O(4**m r) cost.  Only the small factors are checked:
+    with E = W†W - I, F = C†C - I and D = C - I,
+    u_a†u_a - I = W (F + D†ED) W†, so if E and F are within _FACTOR_TOL / 2r
+    in max norm (hence within tau = _FACTOR_TOL in spectral norm), every
+    entry of the dense defect is at most
+    (1 + tau) (tau + (1 + sqrt(1 + tau))**2 tau) < 5.1 tau = 5.1e-10 < 1e-9,
+    up to the rounding of the length-2r sums that assemble u_a.
 
     analyze passes the target columns it has built from the density it
     certified.  Otherwise the certificate is checked here and the sender's
@@ -300,9 +323,23 @@ def synthesize_u_a(channel: ChannelState, u_b, d: int, eps: float = DEFAULT_EPS,
     source = bipartition_matrix(channel) @ u_b.T
     weights = np.einsum("ak,ak->k", source.conj(), source).real
     keep = np.flatnonzero(weights > ZERO_EIGENVALUE)
-    u_a = _completed_frame(_targets[:, keep]) @ _completed_frame(source[:, keep]).conj().T
-    if not linalg.is_unitary(u_a, 1e-9):
+    s, t = source[:, keep], _targets[:, keep]
+    dim = s.shape[0]
+    if 2 * keep.size >= dim:
+        u_a = _completed_frame(t) @ _completed_frame(s).conj().T
+        if not linalg.is_unitary(u_a, 1e-9):
+            raise ArithmeticError("synthesized sender unitary failed the unitarity check")
+        return u_a
+    w, _ = np.linalg.qr(np.concatenate([s, t], axis=1))
+    wh = w.conj().T
+    c = _completed_frame(wh @ t) @ _completed_frame(wh @ s).conj().T
+    k = c.shape[0]
+    tol = _FACTOR_TOL / k
+    if not linalg.is_unitary(c, tol) or np.max(np.abs(wh @ w - np.eye(k))) > tol:
         raise ArithmeticError("synthesized sender unitary failed the unitarity check")
+    c[np.diag_indices(k)] -= 1.0
+    u_a = w @ c @ wh
+    u_a[np.diag_indices(dim)] += 1.0
     return u_a
 
 
@@ -340,7 +377,7 @@ def analyze(channel: ChannelState, eps: float = DEFAULT_EPS) -> AnalysisReport:
         (channel.alice[ai], channel.bob[bi]) for ai, bi in zip(a_slots, relabeling[:d])
     )
     u_a, u_b = (u_struct, u_purif) if swapped else (u_purif, u_struct)
-    return AnalysisReport(
+    report = AnalysisReport(
         entropy_bits=entropy,
         capacity=d,
         u_a=u_a,
@@ -351,6 +388,9 @@ def analyze(channel: ChannelState, eps: float = DEFAULT_EPS) -> AnalysisReport:
         pairs=pairs,
         swapped=swapped,
     )
+    # synthesize_u_a has checked u_purif, so its dense check is not repeated
+    object.__setattr__(report, "_purifier_checked", True)
+    return report
 
 
 def canonical_state(channel: ChannelState, report: AnalysisReport) -> PureState:

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from telecap.states import (
     ChannelState,
     PureState,
     apply_unitary,
+    basis_state,
     bell_state,
     fidelity,
     ghz_state,
@@ -73,6 +75,12 @@ class TestEntropy:
         product = ChannelState(tensor([random_pure_state(1, 3), random_pure_state(1, 4)]),
                                (0,), (1,))
         assert entanglement_entropy(product) < 1e-12
+
+    def test_product_state_entropy_is_positive_zero(self):
+        ch = ChannelState(basis_state((0, 0)), (0,), (1,))
+        rep = analyze(ch)
+        assert rep.entropy_bits == 0.0 and math.copysign(1.0, rep.entropy_bits) == 1.0
+        assert math.copysign(1.0, entanglement_entropy(ch)) == 1.0
 
     def test_w_state_split(self):
         v = np.zeros(8, dtype=complex)

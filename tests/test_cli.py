@@ -17,7 +17,7 @@ from telecap.cli import (
     save_state_file,
 )
 from telecap.corpus import n_bell_channel
-from telecap.states import PureState, random_pure_state
+from telecap.states import PureState, basis_state, random_pure_state
 
 
 @pytest.fixture
@@ -279,6 +279,39 @@ class TestStateFiles:
         path = write_doc(tmp_path, "split.json", doc)
         code, _, err = run("analyze", path)
         assert code == EXIT_MALFORMED and "integer lists" in err
+
+
+    @pytest.mark.parametrize("pair", [[True, False], [0.0, False], [False, 0.0]])
+    def test_boolean_amplitudes(self, run, tmp_path, pair):
+        # complex(True, False) is 1+0j, so booleans used to pass as amplitudes
+        doc = {"format": "telecap-state", "qubits": 2, "alice": [0], "bob": [1],
+               "amplitudes": [[0.0, 0.0], pair, [0.0, 0.0], [0.0, 0.0]]}
+        if pair[0] is not True:
+            doc["amplitudes"][2] = [1.0, 0.0]
+        path = write_doc(tmp_path, "bools.json", doc)
+        code, _, err = run("analyze", path)
+        assert code == EXIT_MALFORMED and "[re, im] pairs" in err
+
+    def test_integer_amplitude_beyond_float_range(self, run, tmp_path):
+        doc = bell_doc()
+        text = json.dumps(doc).replace("[0.0, 0.0]", "[1" + "0" * 400 + ", 0]", 1)
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        code, _, err = run("analyze", path)
+        assert code == EXIT_MALFORMED and "finite" in err
+
+
+class TestProductState:
+    @pytest.fixture
+    def product_file(self, tmp_path):
+        path = tmp_path / "product.json"
+        save_state_file(str(path), basis_state((0, 0)), (0,), (1,))
+        return str(path)
+
+    def test_entropy_prints_positive_zero(self, run, product_file):
+        code, out, _ = run("analyze", product_file)
+        assert code == EXIT_OK
+        assert out.startswith("entropy=0.000000 capacity=0\n")
 
 
 class TestArgumentHandling:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracle import gram_schmidt_unitary
-from telecap import capacity
+from telecap import capacity, linalg
 from telecap.capacity import (
     analyze,
     bipartition_matrix,
@@ -28,20 +28,32 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
-def check_against_oracle(channel: ChannelState) -> None:
-    """u_a's action on the support, its unitarity and the certificate."""
+def check_against_oracle(channel: ChannelState) -> bool:
+    """u_a's action on the support, its unitarity and the certificate; where
+    the kept columns S and T span less than the sender's space (2r < 2**m),
+    also that u_a is the identity on the complement of span[S, T].  Returns
+    whether that low-rank check ran."""
     rep = analyze(channel)
     oriented = channel.swapped() if rep.swapped else channel
     u_struct, u_purif = (rep.u_a, rep.u_b) if rep.swapped else (rep.u_b, rep.u_a)
     canonical = ChannelState(canonical_state(channel, rep), oriented.alice, oriented.bob)
     source = bipartition_matrix(oriented) @ u_struct.T
     targets = bipartition_matrix(canonical)
-    support = source[:, np.einsum("ak,ak->k", source.conj(), source).real > 1e-12]
+    kept = np.einsum("ak,ak->k", source.conj(), source).real > 1e-12
+    support = source[:, kept]
     oracle = gram_schmidt_unitary(source, targets)
     assert np.max(np.abs(u_purif @ support - oracle @ support)) <= 1e-12
     assert unitarity_defect(rep.u_a) <= 1e-12
     assert unitarity_defect(rep.u_b) <= 1e-12
     assert verify_condition(oriented, u_struct, rep.capacity)
+    low_rank = 2 * support.shape[1] < source.shape[0]
+    if low_rank:
+        span = np.concatenate([support, targets[:, kept]], axis=1)
+        frame, sv, _ = np.linalg.svd(span)
+        complement = frame[:, np.count_nonzero(sv > 1e-10):]
+        assert complement.shape[1] > 0
+        assert np.max(np.abs(u_purif @ complement - complement)) <= 1e-12
+    return low_rank
 
 
 @pytest.mark.parametrize("m,n,d", PLANTED_SMALL)
@@ -67,6 +79,50 @@ def test_lopsided_twelve_qubits_teleport_faithfully(m, n):
     res = teleport_bell(channel, random_pure_state(2, seed=m), rep)
     assert len(res.branches) == 16
     assert res.min_fidelity >= 1 - 1e-9
+
+
+def test_planted_grid_reaches_both_constructions():
+    sides = {check_against_oracle(generate_planted(m, n, d, seed=1000 + 64 * m + 8 * n + d)
+                                  .channel) for m, n, d in [(3, 3, 3), (5, 1, 1), (1, 5, 1)]}
+    assert sides == {False, True}
+
+
+def test_lopsided_analysis_checks_only_small_matrices(monkeypatch):
+    channel = generate_planted(10, 1, 1, seed=101).channel
+    shapes = []
+    check = linalg.is_unitary
+
+    def recorded(u, tol=1e-9):
+        shapes.append(np.shape(u))
+        return check(u, tol)
+
+    monkeypatch.setattr(linalg, "is_unitary", recorded)
+    rep = analyze(channel)
+    res = teleport_bell(channel, random_pure_state(1, seed=2), rep)
+    assert res.min_fidelity >= 1 - 1e-9
+    # C is 2r x 2r with r <= 2, u_b is 2 x 2; u_a itself (1024 wide) is never checked
+    assert shapes and max(max(s) for s in shapes) <= 4
+
+
+def test_non_unitary_small_factor_rejected(monkeypatch):
+    channel = generate_planted(6, 1, 1, seed=8).channel
+    frame = capacity._completed_frame
+    monkeypatch.setattr(capacity, "_completed_frame", lambda cols: 1.001 * frame(cols))
+    with pytest.raises(ArithmeticError, match="unitarity check"):
+        analyze(channel)
+
+
+def test_non_orthonormal_span_rejected(monkeypatch):
+    channel = generate_planted(6, 1, 1, seed=8).channel
+    qr = np.linalg.qr
+
+    def skewed(a, mode="reduced"):
+        q, r = qr(a, mode=mode)
+        return (1.001 * q, r) if mode == "reduced" else (q, r)
+
+    monkeypatch.setattr(np.linalg, "qr", skewed)
+    with pytest.raises(ArithmeticError, match="unitarity check"):
+        analyze(channel)
 
 
 def test_frame_rejects_dependent_columns():

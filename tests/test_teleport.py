@@ -252,8 +252,7 @@ class TestReportChecks:
         assert np.array_equal(own.u_a, rep.u_a) and not own.u_a.flags.writeable
         assert teleport_circuit(ch, payload, own).min_fidelity > 1 - 1e-9
 
-    def test_unitarity_checked_once_per_report(self, monkeypatch):
-        ch, rep, payload = self._planted()
+    def _count_checks(self, monkeypatch, ch, rep, payload):
         calls = []
         check = linalg.is_unitary
 
@@ -265,4 +264,17 @@ class TestReportChecks:
         for run in (teleport_bell, teleport_circuit):
             run(ch, payload, rep)
             run(ch, payload, rep, mode="sample", seed=1, trials=3)
+        return calls
+
+    def test_unitarity_checked_once_per_report(self, monkeypatch):
+        # analyze has checked u_a, so only the structural u_b is left
+        ch, rep, payload = self._planted()
+        calls = self._count_checks(monkeypatch, ch, rep, payload)
+        assert len(calls) == 1 and calls[0] is rep.u_b
+
+    def test_replaced_report_checks_both_sides(self, monkeypatch):
+        ch, rep, payload = self._planted()
+        own = dataclasses.replace(rep, u_a=rep.u_a.copy())
+        calls = self._count_checks(monkeypatch, ch, own, payload)
         assert len(calls) == 2
+        assert {id(u) for u in calls} == {id(own.u_a), id(own.u_b)}
