@@ -68,11 +68,15 @@ class AnalysisReport:
     Bob's list plays that role after canonicalization.  pairs gives the
     global qubit labels (alice_qubit, bob_qubit) of the d Bell pairs.
 
-    The report holds read-only copies of the matrices it is given, so
-    writing to the caller's arrays afterwards does not change it.  analyze
-    marks the purifying unitary (u_a, or u_b when swapped) as already
-    checked; the mark is not an init field, so dataclasses.replace and
-    hand-built reports start unmarked.
+    The report holds read-only matrices, so writing to the caller's arrays
+    afterwards does not change it: a complex128 array that is already
+    read-only and owns its data is adopted as it is, anything else is
+    copied.  analyze marks the purifying unitary (u_a, or u_b when
+    swapped) as already checked, and when it built that unitary as
+    I + W (C - I) W† it also keeps the factors W and C - I, through which
+    _canonicalize applies it.  Neither is an init field, so
+    dataclasses.replace and hand-built reports start unmarked and without
+    factors.
     """
 
     entropy_bits: float
@@ -85,14 +89,14 @@ class AnalysisReport:
     pairs: tuple[tuple[int, int], ...]
     swapped: bool
     _purifier_checked: bool = field(default=False, init=False, repr=False, compare=False)
+    _purifier_factors: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("u_a", "u_b", "eta"):
             m = getattr(self, name)
-            if m is not None:
-                m = np.array(m, dtype=np.complex128)
-                m.setflags(write=False)
-                object.__setattr__(self, name, m)
+            if m is not None and not _adoptable(m):
+                object.__setattr__(self, name, _read_only(np.array(m, dtype=np.complex128)))
         object.__setattr__(self, "pairs", tuple((int(a), int(b)) for a, b in self.pairs))
         object.__setattr__(self, "bob_relabeling", tuple(int(q) for q in self.bob_relabeling))
 
@@ -108,6 +112,36 @@ class AnalysisReport:
         structural, purifying = (self.u_a, self.u_b) if self.swapped else (self.u_b, self.u_a)
         return linalg.is_unitary(structural, 1e-9) and (
             self._purifier_checked or linalg.is_unitary(purifying, 1e-9))
+
+    def _canonicalize(self, mat: np.ndarray) -> np.ndarray:
+        """u_a mat u_bᵀ for a (sender x receiver) amplitude matrix: the
+        channel after both local unitaries.
+
+        With the purifier's factors the purifier costs O(2**m r 2**n),
+        2**m the larger party's dimension, instead of the dense
+        O(4**m 2**n): it acts as mat + W (D (W† mat)) on the sender's side,
+        or, when swapped, as mat + ((mat W̄) Dᵀ) Wᵀ on the receiver's.
+        """
+        if self._purifier_factors is None:
+            return self.u_a @ mat @ self.u_b.T
+        w, dc = self._purifier_factors
+        if self.swapped:
+            mat = self.u_a @ mat
+            return mat + ((mat @ w.conj()) @ dc.T) @ w.T
+        mat = mat @ self.u_b.T
+        return mat + w @ (dc @ (w.conj().T @ mat))
+
+
+def _adoptable(m) -> bool:
+    """Whether a report may keep m without copying: a plain complex128
+    array that nobody can write through."""
+    return (type(m) is np.ndarray and m.dtype == np.complex128
+            and not m.flags.writeable and m.flags.owndata)
+
+
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.setflags(write=False)
+    return m
 
 
 def bipartition_matrix(channel: ChannelState) -> np.ndarray:
@@ -282,8 +316,7 @@ def _completed_frame(cols: np.ndarray) -> np.ndarray:
     return q
 
 
-def synthesize_u_a(channel: ChannelState, u_b, d: int, eps: float = DEFAULT_EPS,
-                   _targets: np.ndarray | None = None) -> np.ndarray:
+def synthesize_u_a(channel: ChannelState, u_b, d: int, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Sender-side unitary finishing the canonicalization.
 
     Writing the post-u_b state as sum_k |a_k>_A (x) |k>_B over the
@@ -309,27 +342,34 @@ def synthesize_u_a(channel: ChannelState, u_b, d: int, eps: float = DEFAULT_EPS,
     (1 + tau) (tau + (1 + sqrt(1 + tau))**2 tau) < 5.1 tau = 5.1e-10 < 1e-9,
     up to the rounding of the length-2r sums that assemble u_a.
 
-    analyze passes the target columns it has built from the density it
-    certified.  Otherwise the certificate is checked here and the sender's
-    Bell halves go on her leading qubits.
+    The certificate is checked here, and the sender's Bell halves go on her
+    leading qubits.
     """
     u_b = np.asarray(u_b, dtype=np.complex128)
-    m, n = len(channel.alice), len(channel.bob)
-    if _targets is None:
-        if not verify_condition(channel, u_b, d, eps):
-            raise ValueError("factorization condition fails at this d")
-        _, eta_hat = _transformed(reduced_density(channel, "bob"), u_b, d)
-        _targets = _target_columns(eta_hat, m, n, d, bell_high=True)
+    if not verify_condition(channel, u_b, d, eps):
+        raise ValueError("factorization condition fails at this d")
+    _, eta_hat = _transformed(reduced_density(channel, "bob"), u_b, d)
+    targets = _target_columns(eta_hat, len(channel.alice), len(channel.bob), d, bell_high=True)
+    return _sender_unitary(channel, u_b, targets)[0]
+
+
+def _sender_unitary(channel: ChannelState, u_b: np.ndarray, targets: np.ndarray):
+    """synthesize_u_a's construction for given target columns.
+
+    Returns (u_a, factors): factors is the pair (W, C - I), both read-only,
+    when u_a was built as I + W (C - I) W†, and None when it was built
+    densely.
+    """
     source = bipartition_matrix(channel) @ u_b.T
     weights = np.einsum("ak,ak->k", source.conj(), source).real
     keep = np.flatnonzero(weights > ZERO_EIGENVALUE)
-    s, t = source[:, keep], _targets[:, keep]
+    s, t = source[:, keep], targets[:, keep]
     dim = s.shape[0]
     if 2 * keep.size >= dim:
         u_a = _completed_frame(t) @ _completed_frame(s).conj().T
         if not linalg.is_unitary(u_a, 1e-9):
             raise ArithmeticError("synthesized sender unitary failed the unitarity check")
-        return u_a
+        return u_a, None
     w, _ = np.linalg.qr(np.concatenate([s, t], axis=1))
     wh = w.conj().T
     c = _completed_frame(wh @ t) @ _completed_frame(wh @ s).conj().T
@@ -340,7 +380,7 @@ def synthesize_u_a(channel: ChannelState, u_b, d: int, eps: float = DEFAULT_EPS,
     c[np.diag_indices(k)] -= 1.0
     u_a = w @ c @ wh
     u_a[np.diag_indices(dim)] += 1.0
-    return u_a
+    return u_a, (_read_only(w), _read_only(c))
 
 
 def analyze(channel: ChannelState, eps: float = DEFAULT_EPS) -> AnalysisReport:
@@ -368,7 +408,8 @@ def analyze(channel: ChannelState, eps: float = DEFAULT_EPS) -> AnalysisReport:
     if not _factors(rho_t, eta_hat, d, eps):
         raise ArithmeticError("factorization condition failed after synthesis")
     targets = _target_columns(eta_hat, m, n, d, bell_high=not swapped)
-    u_purif = synthesize_u_a(oriented, u_struct, d, eps, _targets=targets)
+    u_purif, factors = _sender_unitary(oriented, u_struct, targets)
+    _read_only(u_purif)  # so the report adopts it instead of copying it
 
     entropy = _spectrum_entropy(np.clip(w, 0.0, None))
     relabeling = _relabeling(n_out, d)
@@ -388,8 +429,9 @@ def analyze(channel: ChannelState, eps: float = DEFAULT_EPS) -> AnalysisReport:
         pairs=pairs,
         swapped=swapped,
     )
-    # synthesize_u_a has checked u_purif, so its dense check is not repeated
+    # _sender_unitary has checked u_purif, so its dense check is not repeated
     object.__setattr__(report, "_purifier_checked", True)
+    object.__setattr__(report, "_purifier_factors", factors)
     return report
 
 

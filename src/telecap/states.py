@@ -144,12 +144,6 @@ def apply_unitary(state: PureState, u, targets) -> PureState:
     """
     if not linalg.is_unitary(u, _UNITARY_TOL):
         raise ValueError("operator is not unitary within 1e-9")
-    return _apply_operator(state, u, targets)
-
-
-def _apply_operator(state: PureState, u, targets) -> PureState:
-    """apply_unitary without the unitarity check, for callers that have
-    already checked the operator once."""
     targets = [int(q) for q in targets]
     n = state.n_qubits
     k = len(targets)

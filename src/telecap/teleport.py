@@ -2,12 +2,16 @@
 accounting.
 
 Both protocol flavours consume a channel together with its analysis report:
-the local unitaries are applied first, turning the channel into singlet
-pairs plus a residual factor, then each payload qubit is pushed through one
-pair.  The Bell flavour measures (payload qubit, sender half) directly in
-the Bell basis; the circuit flavour first applies the standard two-qubit
-measurement circuit and reads both qubits in the computational basis.  The
-two differ only in how the classical two-bit message is labeled.
+the local unitaries are applied first, to the channel alone before the
+payload joins, turning it into singlet pairs plus a residual factor; then
+each payload qubit is pushed through one pair.  Where analyze built the
+larger party's unitary as the identity plus a rank-2r correction, that
+correction is applied through its small factors, so a teleport never
+multiplies by the dense 2**m x 2**m matrix.  The Bell flavour measures
+(payload qubit, sender half) directly in the Bell basis; the circuit
+flavour first applies the standard two-qubit measurement circuit and reads
+both qubits in the computational basis.  The two differ only in how the
+classical two-bit message is labeled.
 
 Every branch comes from one table.  Per used pair, one contraction of the
 joint state turns the (message, sender half) axes into an outcome axis and
@@ -34,13 +38,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .capacity import DEFAULT_EPS, AnalysisReport, analyze
+from .capacity import DEFAULT_EPS, AnalysisReport, analyze, bipartition_matrix
 from .linalg import schmidt_decompose
 from .states import (
     UNREACHABLE_PROBABILITY,
     ChannelState,
     PureState,
-    _apply_operator,
     apply_unitary,
     basis_state,
     bell_state,
@@ -217,7 +220,13 @@ def _round(state, targets, bob_qubit, protocol: _Protocol, outcome, rng):
 
 def _prepare(channel: ChannelState, payload: PureState, report: AnalysisReport):
     """Canonicalized joint state (payload qubits first) and the shifted
-    (message, sender half, receiver half) triple per used pair."""
+    (message, sender half, receiver half) triple per used pair.
+
+    The local unitaries act on the channel's (sender x receiver) amplitude
+    matrix before the payload joins, so their cost does not grow with the
+    payload; where analyze kept the purifier's factors, the dense 2**m x 2**m
+    purifier is never touched.
+    """
     k = payload.n_qubits
     if k > report.capacity:
         raise CapacityShortfall(
@@ -225,9 +234,12 @@ def _prepare(channel: ChannelState, payload: PureState, report: AnalysisReport):
         )
     if not report.unitary:
         raise ValueError("report's u_a or u_b is not unitary within 1e-9")
-    joint = tensor([payload, channel.state])
-    joint = _apply_operator(joint, report.u_a, [q + k for q in channel.alice])
-    joint = _apply_operator(joint, report.u_b, [q + k for q in channel.bob])
+    mat = bipartition_matrix(channel)
+    if report.u_a.shape[0] != mat.shape[0] or report.u_b.shape[0] != mat.shape[1]:
+        raise ValueError("report's unitaries do not match the channel's parties")
+    order = channel.alice + channel.bob
+    psi = report._canonicalize(mat).reshape((2,) * len(order)).transpose(np.argsort(order))
+    joint = tensor([payload, PureState(psi.reshape(-1))])
     triples = [(t, a + k, b + k) for t, (a, b) in enumerate(report.pairs[:k])]
     return joint, triples
 
@@ -269,20 +281,26 @@ def received_state(state: PureState, qubits) -> tuple[PureState, float]:
     return PureState(u[:, 0] / np.linalg.norm(u[:, 0])), float(s[0] ** 2)
 
 
-def _sampled_indices(probabilities: np.ndarray, k: int, seed, trials: int):
+def _sampled_indices(probabilities: np.ndarray, k: int, seed, trials: int) -> np.ndarray:
     """Branch index of each trial: one child generator per trial draws the
     pairs' outcomes in order, each from its conditional given the earlier
-    ones (prefix marginals of the branch probabilities)."""
+    ones (prefix marginals of the branch probabilities).
+
+    Each draw is rng.choice(4, p=cond / cond.sum()) written out as choice
+    computes it: the number of normalized cumulative probabilities at or
+    below one uniform variate.  So a trial's k variates come from one
+    rng.random(k), and each round is drawn for all trials at once.
+    """
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
-    marginals = [probabilities.reshape(4 ** (t + 1), -1).sum(axis=1) for t in range(k)]
-    for child in seed.spawn(trials):
-        rng = np.random.default_rng(child)
-        index = 0
-        for marginal in marginals:
-            cond = marginal[4 * index:4 * index + 4]
-            index = 4 * index + int(rng.choice(4, p=cond / cond.sum()))
-        yield index
+    uniforms = np.array([np.random.default_rng(child).random(k) for child in seed.spawn(trials)])
+    index = np.zeros(trials, dtype=np.intp)
+    for t in range(k):
+        cond = probabilities.reshape(4 ** (t + 1), -1).sum(axis=1).reshape(-1, 4)[index]
+        cdf = np.cumsum(cond / cond.sum(axis=1, keepdims=True), axis=1)
+        cdf /= cdf[:, -1:]
+        index = 4 * index + np.count_nonzero(cdf <= uniforms[:, t, None], axis=1)
+    return index
 
 
 def _teleport(channel, payload, report, method, mode, seed, trials, eps):
@@ -300,7 +318,7 @@ def _teleport(channel, payload, report, method, mode, seed, trials, eps):
     if mode == "exhaustive":
         indices = np.flatnonzero(probabilities > UNREACHABLE_PROBABILITY)
     else:
-        indices = np.fromiter(_sampled_indices(probabilities, k, seed, trials), dtype=np.intp)
+        indices = _sampled_indices(probabilities, k, seed, trials)
     # fidelity <payload| rho_r |payload> of the receiver's normalized marginal
     overlaps = np.einsum("j,rjs->rs", payload.amplitudes.conj(), table)
     captured = np.einsum("rs,rs->r", overlaps.conj(), overlaps).real

@@ -10,7 +10,7 @@ from oracle import sequential_teleport
 from telecap.capacity import analyze
 from telecap.corpus import generate_planted, ghz_channel, n_bell_channel
 from telecap.states import random_pure_state
-from telecap.teleport import teleport_bell, teleport_circuit
+from telecap.teleport import _sampled_indices, teleport_bell, teleport_circuit
 
 TELEPORTS = {"bell": teleport_bell, "circuit": teleport_circuit}
 
@@ -59,6 +59,16 @@ def test_non_canonical_report_matches_sequential_oracle(method):
     _assert_matches_oracle(channel, random_pure_state(2, 17), report, method)
 
 
+@pytest.mark.parametrize("method", sorted(TELEPORTS))
+@pytest.mark.parametrize("m,n,d", [(7, 2, 2), (2, 7, 2), (8, 1, 1), (1, 8, 1)])
+def test_factored_report_matches_sequential_oracle(m, n, d, method):
+    # the oracle applies the dense u_a and u_b; teleport goes through the factors
+    channel = generate_planted(m, n, d, seed=80 + m).channel
+    report = analyze(channel)
+    assert report._purifier_factors is not None
+    _assert_matches_oracle(channel, random_pure_state(d, seed=81), report, method)
+
+
 # Recorded with the round-by-round simulator (per-trial SeedSequence.spawn,
 # one rng.choice per round), 10 trials each, as raw outcomes per trial.
 PINNED = {
@@ -87,3 +97,28 @@ def test_sampled_sequences_are_pinned(kind, method, seed):
                                mode="sample", seed=seed, trials=10)
     got = " ".join("".join(map(str, b.outcomes)) for b in result.branches)
     assert got == PINNED[kind, method, seed]
+
+
+def _choice_indices(probabilities, k, seed, trials):
+    """Reference sampler: each trial's own generator draws every round with
+    rng.choice from the conditional given the earlier rounds."""
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.default_rng(child)
+        index = 0
+        for t in range(k):
+            cond = probabilities.reshape(4 ** (t + 1), -1).sum(axis=1)[4 * index:4 * index + 4]
+            index = 4 * index + int(rng.choice(4, p=cond / cond.sum()))
+        yield index
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sampled_indices_follow_rng_choice(k):
+    rng = np.random.default_rng(k)
+    for draw in range(20):
+        probabilities = rng.random(4 ** k) ** rng.integers(1, 6)
+        probabilities[rng.random(4 ** k) < 0.3] = 0.0  # unreachable branches
+        probabilities[-1] += 1e-3
+        probabilities /= probabilities.sum()
+        seed = 1000 * k + draw
+        assert (_sampled_indices(probabilities, k, seed, 25).tolist()
+                == list(_choice_indices(probabilities, k, seed, 25)))

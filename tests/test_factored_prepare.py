@@ -1,0 +1,119 @@
+"""The teleport step's canonicalization through the purifier's small
+factors, against the dense product, and the report's ownership of its
+matrices."""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from telecap.capacity import analyze
+from telecap.corpus import generate_planted
+from telecap.states import random_pure_state
+from telecap.teleport import _prepare, teleport_bell
+
+# splits on both sides of 2r < 2**max(m, n), in both orientations
+SPLITS = [(3, 1), (4, 1), (5, 2), (6, 1), (4, 2), (2, 1), (3, 2), (3, 3), (4, 4)]
+PLANTED_GRID = [(m, n, d) for m, n in SPLITS for d in range(1, min(m, n) + 1)]
+PLANTED_GRID += [(n, m, d) for m, n, d in PLANTED_GRID if m != n]
+
+
+def _planted(m, n, d):
+    return generate_planted(m, n, d, seed=500 + 16 * m + 4 * n + d).channel
+
+
+@pytest.mark.parametrize("m,n,d", PLANTED_GRID)
+def test_factored_prepare_matches_dense(m, n, d):
+    channel = _planted(m, n, d)
+    rep = analyze(channel)
+    dense = dataclasses.replace(rep)
+    assert dense._purifier_factors is None
+    payload = random_pure_state(d, seed=m + n)
+    got, triples = _prepare(channel, payload, rep)
+    want, want_triples = _prepare(channel, payload, dense)
+    assert triples == want_triples
+    assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-12
+
+
+def test_grid_reaches_factors_in_both_orientations():
+    factored = {}
+    for m, n, d in PLANTED_GRID:
+        rep = analyze(_planted(m, n, d))
+        factored.setdefault(rep._purifier_factors is not None, set()).add(rep.swapped)
+    assert factored == {True: {False, True}, False: {False, True}}
+
+
+def test_replaced_report_carries_no_factors():
+    rep = analyze(_planted(6, 1, 1))
+    assert rep._purifier_factors is not None
+    for own in (dataclasses.replace(rep), dataclasses.replace(rep, u_a=rep.u_a.copy())):
+        assert own._purifier_factors is None and not own._purifier_checked
+    w, dc = rep._purifier_factors
+    assert not w.flags.writeable and not dc.flags.writeable
+
+
+def _recording(log):
+    """An ndarray type that logs the operand shapes of every numpy
+    operation it takes part in, and passes the mark on to its results."""
+
+    class Recording(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            log.append(tuple(getattr(x, "shape", ()) for x in inputs))
+            plain = [x.view(np.ndarray) if isinstance(x, Recording) else x for x in inputs]
+            out = getattr(ufunc, method)(*plain, **kwargs)
+            return out.view(Recording) if isinstance(out, np.ndarray) else out
+
+        def __array_function__(self, func, types, args, kwargs):
+            log.append(tuple(x.shape for x in args if isinstance(x, np.ndarray)))
+            return super().__array_function__(func, types, args, kwargs)
+
+    return Recording
+
+
+@pytest.mark.parametrize("m,n", [(10, 1), (1, 10)])
+def test_lopsided_teleport_multiplies_no_wide_operator(m, n):
+    channel = generate_planted(m, n, 1, seed=10 * m + n).channel
+    rep = analyze(channel)
+    shapes = []
+    recording = _recording(shapes)
+    for name in ("u_a", "u_b"):
+        object.__setattr__(rep, name, getattr(rep, name).view(recording))
+    object.__setattr__(rep, "_purifier_factors",
+                       tuple(f.view(recording) for f in rep._purifier_factors))
+    res = teleport_bell(channel, random_pure_state(1, seed=4), rep)
+    assert res.min_fidelity >= 1 - 1e-9
+    widths = {s for operands in shapes for s in operands}
+    assert (1024, 4) in widths or (4, 1024) in widths  # W took part
+    assert (1024, 1024) not in widths
+
+
+def test_analyze_holds_one_dense_sender_unitary():
+    channel = generate_planted(11, 1, 1, seed=111).channel
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        rep = analyze(channel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.u_a.shape == (2048, 2048)
+    assert peak < 1.5 * rep.u_a.nbytes
+
+
+def test_report_adopts_frozen_arrays_and_copies_others():
+    rep = analyze(_planted(4, 2, 2))
+    same = dataclasses.replace(rep, capacity=rep.capacity)
+    assert same.u_a is rep.u_a and same.u_b is rep.u_b
+    view = rep.u_a[:, :]
+    assert dataclasses.replace(rep, u_a=view).u_a is not view
+    real = np.eye(rep.u_a.shape[0])
+    real.setflags(write=False)
+    assert dataclasses.replace(rep, u_a=real).u_a.dtype == np.complex128
+
+
+def test_report_of_another_split_rejected():
+    rep = analyze(_planted(2, 2, 1))
+    other = _planted(3, 1, 1)
+    with pytest.raises(ValueError, match="match"):
+        teleport_bell(other, random_pure_state(1, seed=5), rep)
