@@ -8,6 +8,15 @@ Three families matter:
 * planted channels: a Bell stack times a generic residual, scrambled by
   local Haar unitaries so nothing about the construction is visible in the
   amplitudes, while the capacity stays exactly the planted d.
+
+A local Haar unitary never has to be formed to scramble a channel.  Write
+the 2**m x 2**n amplitude matrix as M = Q R, a reduced QR with Q of shape
+2**m x k, k = min(2**m, 2**n).  For Haar U_a the isometry U_a Q is Haar on
+the 2**m x k isometries whatever the fixed Q, and so is the phase-fixed QR
+factor V of a 2**m x k complex Gaussian (Mezzadri, "How to generate random
+matrices from the classical compact groups", Notices AMS 2007).  So V R has
+exactly the law of U_a M, at O(2**m k**2) cost instead of O(8**m); the
+receiver's side is the same step on the transpose.
 """
 
 from __future__ import annotations
@@ -21,7 +30,6 @@ from .states import (
     MAX_QUBITS,
     ChannelState,
     PureState,
-    apply_unitary,
     basis_state,
     bell_state,
     ghz_state,
@@ -43,19 +51,40 @@ __all__ = [
 ]
 
 
-def haar_unitary(dim: int, seed) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix.
+_ISOMETRY_TOL = 1e-9
 
-    The R factor's diagonal phases are absorbed into Q, which removes the
-    QR gauge and makes the distribution exactly Haar.
-    """
+
+def haar_unitary(dim: int, seed) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
     if not 2 <= dim <= MAX_DIM:
         raise ValueError(f"dimension must be 2..{MAX_DIM}")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return _haar_isometry(np.random.default_rng(seed), dim, dim)
+
+
+def _haar_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """Haar-distributed rows x cols isometry (cols <= rows): the first cols
+    columns of a Haar unitary.
+
+    QR of a complex Gaussian matrix, with the R factor's diagonal phases
+    absorbed into Q, which removes the QR gauge and makes the distribution
+    exactly Haar.
+    """
+    z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def _scramble_rows(mat: np.ndarray, seed) -> np.ndarray:
+    """U mat for a Haar unitary U on the row space, in law, without forming
+    U: the reduced QR mat = Q R with Q's columns swapped for a Haar
+    isometry V of the same shape, whose k x k Gram matrix is checked."""
+    q, r = np.linalg.qr(mat)
+    v = _haar_isometry(np.random.default_rng(seed), *q.shape)
+    gram = v.conj().T @ v
+    if np.max(np.abs(gram - np.eye(gram.shape[0]))) > _ISOMETRY_TOL:
+        raise ArithmeticError("drawn isometry is not orthonormal within 1e-9")
+    return v @ r
 
 
 def controlled_not(num_qubits: int, control: int, target: int) -> np.ndarray:
@@ -145,6 +174,10 @@ def generate_planted(m: int, n: int, d: int, seed: int,
     """Channel of known capacity d: Bell stack times generic residual,
     hidden behind independent Haar unitaries on each side.
 
+    Each side's unitary is drawn only as a Haar isometry on the reference's
+    support (see the module docstring).  The channel has the law of
+    (U_a x U_b) reference, at O(2**max(m, n) 4**min(m, n)) cost.
+
     The residual is redrawn until its receiver-side spectrum is simple with
     gaps above 10 * eps * 2**d and no weight within that margin of zero, so
     clustering at eps recovers multiplicities of exactly 2**d and analysis
@@ -166,11 +199,10 @@ def generate_planted(m: int, n: int, d: int, seed: int,
         + tuple(range(1, 2 * d, 2)) + tuple(2 * d + ra + j for j in range(rb))
     reference = permute_qubits(reference, order)
 
-    alice = tuple(range(m))
-    bob = tuple(range(m, m + n))
-    state = apply_unitary(reference, haar_unitary(1 << m, scramble_a), alice)
-    state = apply_unitary(state, haar_unitary(1 << n, scramble_b), bob)
-    return PlantedChannel(ChannelState(state, alice, bob), d, seed, reference)
+    mat = _scramble_rows(reference.amplitudes.reshape(1 << m, 1 << n), scramble_a)
+    mat = _scramble_rows(mat.T, scramble_b).T
+    channel = ChannelState(PureState(mat.reshape(-1)), range(m), range(m, m + n))
+    return PlantedChannel(channel, d, seed, reference)
 
 
 def _gapped_residual(ra: int, rb: int, d: int, eps: float, seq) -> PureState:

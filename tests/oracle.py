@@ -5,9 +5,11 @@ and textbook formulas, no shared code with the package beyond the data
 types at the call boundary.
 """
 
+import json
+
 import numpy as np
 
-from telecap.states import ChannelState
+from telecap.states import ChannelState, PureState
 
 
 def partial_trace_loops(rho: np.ndarray, qubit_count: int, traced_out) -> np.ndarray:
@@ -57,6 +59,29 @@ def embed_operator(u: np.ndarray, targets, n: int) -> np.ndarray:
                 row |= (sub_out >> (k - 1 - pos) & 1) << (n - 1 - q)
             big[row, col] += u[sub_out, sub_in]
     return big
+
+
+def state_file_json(state: PureState, alice=None, bob=None) -> str:
+    """A state file's text as the json module writes the document."""
+    doc = {
+        "format": "telecap-state",
+        "qubits": state.n_qubits,
+        "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
+    }
+    if alice is not None or bob is not None:
+        doc["alice"] = [int(q) for q in alice]
+        doc["bob"] = [int(q) for q in bob]
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def haar_unitary_square_qr(dim: int, seed) -> np.ndarray:
+    """Haar unitary straight from QR of a square complex Gaussian, R's
+    diagonal phases absorbed into Q."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
 
 
 def two_adic_division(k: int) -> int:

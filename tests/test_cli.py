@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from oracle import state_file_json
 from telecap.cli import (
     EXIT_CAPACITY,
     EXIT_FIDELITY,
@@ -16,7 +17,7 @@ from telecap.cli import (
     main,
     save_state_file,
 )
-from telecap.corpus import n_bell_channel
+from telecap.corpus import generate_planted, n_bell_channel
 from telecap.states import PureState, basis_state, random_pure_state
 
 
@@ -97,6 +98,16 @@ class TestVerifyCommand:
         code, _, err = run("verify", planted_file, 2)
         assert code == EXIT_INFEASIBLE and "not divisible" in err
 
+    def test_violation_names_the_first_offending_cluster(self, run, tmp_path):
+        # clusters 0.3 x2, 0.25, 0.15: at d=2 the first one already fails,
+        # although the later singletons have the lower 2-adic valuation
+        schmidt = np.sqrt([0.3, 0.3, 0.25, 0.15])
+        path = tmp_path / "skew.json"
+        save_state_file(str(path), PureState(np.diag(schmidt).ravel()), (0, 1), (2, 3))
+        code, _, err = run("verify", path, 2)
+        assert code == EXIT_INFEASIBLE
+        assert err == "error: multiplicity 2 at value 0.300000000 is not divisible by 2**2\n"
+
     def test_out_of_range_claim(self, run, planted_file):
         code, _, err = run("verify", planted_file, 3)
         assert code == EXIT_INFEASIBLE and "outside" in err
@@ -171,6 +182,12 @@ class TestGenerateCommand:
         doc = json.loads(out)
         assert doc["qubits"] == 2 and len(doc["amplitudes"]) == 4
 
+    def test_stdout_matches_json_oracle(self, run):
+        code, out, _ = run("generate", 3, 2, 1, "--seed", 5)
+        ch = generate_planted(3, 2, 1, seed=5).channel
+        assert code == EXIT_OK
+        assert out == state_file_json(ch.state, ch.alice, ch.bob)
+
     def test_deterministic(self, run, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         run("generate", 2, 2, 1, "--seed", 9, "-o", p1)
@@ -196,6 +213,27 @@ class TestDemoGhz:
 
 
 class TestStateFiles:
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_writer_matches_json_oracle(self, tmp_path, n, split):
+        state = random_pure_state(n, seed=100 + n)
+        parties = (tuple(range(n // 2)), tuple(range(n // 2, n))) if split else ()
+        path = tmp_path / "s.json"
+        save_state_file(str(path), state, *parties)
+        assert path.read_text(encoding="ascii") == state_file_json(state, *parties)
+
+    def test_writer_matches_json_oracle_on_edge_amplitudes(self, tmp_path):
+        # exact zeros of both signs, one, a small normal and the smallest
+        # subnormal magnitude; the norm stays within 1e-9 of one
+        v = np.array([1.0, -0.0, 0.0, 1e-05, 5e-324, complex(-0.0, -5e-324),
+                      complex(0.0, 1e-05), complex(-0.0, 0.0)])
+        state = PureState(v)
+        assert state.amplitudes[4] == 5e-324 and np.signbit(state.amplitudes[1].real)
+        path = tmp_path / "e.json"
+        for parties in ((), ((2,), (0, 1)), ((), ())):
+            save_state_file(str(path), state, *parties)
+            assert path.read_text(encoding="ascii") == state_file_json(state, *parties)
+
     def test_roundtrip_bytes_fixed_point(self, tmp_path, run):
         path = tmp_path / "ch.json"
         run("generate", 2, 2, 1, "--seed", 4, "-o", path)

@@ -1,7 +1,11 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracle import spectral_capacity
+from oracle import haar_unitary_square_qr, spectral_capacity
+from telecap import corpus
 from telecap.capacity import entanglement_entropy
 from telecap.corpus import (
     controlled_not,
@@ -13,7 +17,7 @@ from telecap.corpus import (
     n_bell_channel,
     random_channel,
 )
-from telecap.linalg import is_unitary, partial_trace
+from telecap.linalg import cluster_spectrum, is_unitary, partial_trace
 from telecap.states import ChannelState, apply_unitary, fidelity, random_pure_state
 
 S = 1.0 / np.sqrt(2.0)
@@ -26,6 +30,10 @@ class TestHaarUnitary:
         assert np.array_equal(u, haar_unitary(8, seed=3))
         assert not np.allclose(u, haar_unitary(8, seed=4))
 
+    @pytest.mark.parametrize("dim,seed", [(2, 0), (8, 3), (64, 11), (256, 5)])
+    def test_matches_square_qr_bit_for_bit(self, dim, seed):
+        assert np.array_equal(haar_unitary(dim, seed), haar_unitary_square_qr(dim, seed))
+
     def test_mean_single_qubit_purity(self):
         # normalized purity 2 tr(rho^2) - 1 of a one-qubit marginal of a
         # Haar two-qubit state averages to 3/5
@@ -36,6 +44,26 @@ class TestHaarUnitary:
             rho = partial_trace(np.outer(psi.amplitudes, psi.amplitudes.conj()), 2, [1])
             total += 2.0 * float(np.trace(rho @ rho).real) - 1.0
         assert total / trials == pytest.approx(0.6, abs=0.02)
+
+
+class TestHaarIsometry:
+    @pytest.mark.parametrize("rows,cols", [(4, 2), (8, 3), (2, 2)])
+    def test_entry_moments(self, rows, cols):
+        # Haar isometry entries: E V = 0, E |V|^2 = 1 / rows, E V^2 = 0.  The
+        # first moment is the one that sees a missing phase fix: numpy's QR
+        # leaves R's diagonal real, which biases the phase of every column.
+        v = np.array([corpus._haar_isometry(np.random.default_rng(s), rows, cols)
+                      for s in range(4000)])
+        assert v.shape == (4000, rows, cols)
+        assert np.max(np.abs(v.mean(axis=0))) < 0.04
+        assert np.max(np.abs((np.abs(v) ** 2).mean(axis=0) - 1.0 / rows)) < 0.02
+        assert np.max(np.abs((v * v).mean(axis=0))) < 0.03
+
+    def test_gram_check_rejects_non_isometry(self, monkeypatch):
+        monkeypatch.setattr(corpus, "_haar_isometry",
+                            lambda rng, rows, cols: np.ones((rows, cols), dtype=complex))
+        with pytest.raises(ArithmeticError, match="isometry"):
+            generate_planted(3, 2, 1, seed=7)
 
 
 class TestControlledNot:
@@ -140,6 +168,37 @@ class TestPlanted:
             generate_planted(2, 1, 2, seed=0)
         with pytest.raises(ValueError, match="positive"):
             generate_planted(0, 1, 0, seed=0)
+
+
+def _schmidt(channel: ChannelState, m: int, n: int) -> np.ndarray:
+    return np.linalg.svd(channel.state.amplitudes.reshape(1 << m, 1 << n),
+                         compute_uv=False)
+
+
+class TestPlantedAtCap:
+    @pytest.mark.parametrize("m,n,d", [(14, 1, 1), (1, 14, 1), (13, 2, 2), (2, 13, 1)])
+    def test_lopsided_split_at_the_cap(self, m, n, d):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            p = generate_planted(m, n, d, seed=3)
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seconds < 1.0
+        assert peak < 64 << 20
+        ref = ChannelState(p.reference, p.channel.alice, p.channel.bob)
+        got, want = _schmidt(p.channel, m, n), _schmidt(ref, m, n)
+        assert np.max(np.abs(got - want)) < 1e-12
+        # the smaller side's spectrum is the squared Schmidt coefficients
+        got_c = cluster_spectrum(got ** 2).clusters
+        want_c = cluster_spectrum(want ** 2).clusters
+        assert [c.multiplicity for c in got_c] == [c.multiplicity for c in want_c]
+        assert {c.multiplicity for c in got_c} == {1 << d}
+        assert max(abs(a.value - b.value) for a, b in zip(got_c, want_c)) < 1e-12
+        again = generate_planted(m, n, d, seed=3)
+        assert np.array_equal(p.channel.state.amplitudes, again.channel.state.amplitudes)
 
 
 class TestRandomChannel:
