@@ -36,6 +36,7 @@ from .states import ChannelState, PureState
 
 __all__ = [
     "DEFAULT_EPS",
+    "DENSE_BUDGET_BYTES",
     "ZERO_EIGENVALUE",
     "AnalysisReport",
     "bipartition_matrix",
@@ -55,6 +56,41 @@ ZERO_EIGENVALUE = 1e-12  # branch weight below this is treated as absent
 _GS_ACCEPT = 1e-7  # Gram-Schmidt residual norm below which columns are dependent
 _FACTOR_TOL = 1e-10  # spectral-norm defect allowed in u_a's small factors
 
+# Bytes one request may claim for an object of O(4**max(m, n)) entries: the
+# dense purifier assembled from its factors, or the document analyze --report
+# builds.  Larger requests raise ValueError before allocating anything.  At
+# 3 GiB a 13-qubit purifier (1 GiB) and an 11|1 report (about 2.2 GiB at the
+# peak) still fit a 7 GiB machine; a 14-qubit purifier (4 GiB) does not pass.
+DENSE_BUDGET_BYTES = 3 << 30
+
+
+def _check_budget(nbytes: int, what: str) -> None:
+    """Refuse a request of nbytes above DENSE_BUDGET_BYTES, naming both."""
+    if nbytes > DENSE_BUDGET_BYTES:
+        raise ValueError(f"{what} needs {nbytes / 2**20:,.0f} MiB, above the "
+                         f"{DENSE_BUDGET_BYTES / 2**20:,.0f} MiB budget")
+
+
+class _Unitary:
+    """Data descriptor for a report's u_a and u_b fields: the stored
+    matrix, except that the purifying side of a report holding the
+    purifier's factors stores None and is assembled on first read, then
+    cached."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            raise AttributeError(self.name)  # so the dataclass field has no default
+        m = report.__dict__[self.name]
+        if m is None and report._purifier_factors is not None:
+            m = report.__dict__[self.name] = _read_only(_assemble(*report._purifier_factors))
+        return m
+
+    def __set__(self, report, value):
+        report.__dict__[self.name] = value
+
 
 @dataclass(frozen=True)
 class AnalysisReport:
@@ -72,17 +108,19 @@ class AnalysisReport:
     afterwards does not change it: a complex128 array that is already
     read-only and owns its data is adopted as it is, anything else is
     copied.  analyze marks the purifying unitary (u_a, or u_b when
-    swapped) as already checked, and when it built that unitary as
-    I + W (C - I) W† it also keeps the factors W and C - I, through which
-    _canonicalize applies it.  Neither is an init field, so
-    dataclasses.replace and hand-built reports start unmarked and without
-    factors.
+    swapped) as already checked.  When it built that unitary as
+    I + W (C - I) W†, the report keeps only the factors W and C - I:
+    _canonicalize applies the purifier through them, and reading the u_a
+    (or u_b) field assembles the dense 2**m x 2**m matrix once, within
+    DENSE_BUDGET_BYTES, and caches it.  Neither the mark nor the factors
+    is an init field, so dataclasses.replace (which reads the dense field)
+    and hand-built reports start unmarked and without factors.
     """
 
     entropy_bits: float
     capacity: int
-    u_a: np.ndarray
-    u_b: np.ndarray
+    u_a: np.ndarray = _Unitary()
+    u_b: np.ndarray = _Unitary()
     eta: np.ndarray | None
     clusters: SpectrumClusters
     bob_relabeling: tuple[int, ...]
@@ -107,11 +145,21 @@ class AnalysisReport:
         Checked on first use and cached, which is sound because the report
         owns its read-only matrices.  The dense check runs on the structural
         side (the smaller party), and on the purifying side only when
-        analyze has not already checked it.
+        analyze has not already checked it, so a report from analyze never
+        assembles its purifier here.
         """
-        structural, purifying = (self.u_a, self.u_b) if self.swapped else (self.u_b, self.u_a)
-        return linalg.is_unitary(structural, 1e-9) and (
-            self._purifier_checked or linalg.is_unitary(purifying, 1e-9))
+        structural, purifying = ("u_a", "u_b") if self.swapped else ("u_b", "u_a")
+        return linalg.is_unitary(getattr(self, structural), 1e-9) and (
+            self._purifier_checked or linalg.is_unitary(getattr(self, purifying), 1e-9))
+
+    @property
+    def _dims(self) -> tuple[int, int]:
+        """(sender, receiver) dimensions of u_a and u_b, read from the
+        purifier's factors where the report keeps them."""
+        mats = [self.__dict__[name] for name in ("u_a", "u_b")]
+        if self._purifier_factors is not None:  # W has the purifier's rows
+            mats[self.swapped] = self._purifier_factors[0]
+        return mats[0].shape[0], mats[1].shape[0]
 
     def _canonicalize(self, mat: np.ndarray) -> np.ndarray:
         """u_a mat u_bᵀ for a (sender x receiver) amplitude matrix: the
@@ -142,6 +190,15 @@ def _adoptable(m) -> bool:
 def _read_only(m: np.ndarray) -> np.ndarray:
     m.setflags(write=False)
     return m
+
+
+def _assemble(w: np.ndarray, dc: np.ndarray) -> np.ndarray:
+    """The dense purifier I + W D W† from its factors W and D = C - I."""
+    dim = w.shape[0]
+    _check_budget(dim * dim * np.dtype(np.complex128).itemsize, "the dense purifier")
+    u = w @ dc @ w.conj().T
+    u[np.diag_indices(dim)] += 1.0
+    return u
 
 
 def bipartition_matrix(channel: ChannelState) -> np.ndarray:
@@ -343,29 +400,30 @@ def synthesize_u_a(channel: ChannelState, u_b, d: int, eps: float = DEFAULT_EPS)
     up to the rounding of the length-2r sums that assemble u_a.
 
     The certificate is checked here, and the sender's Bell halves go on her
-    leading qubits.
+    leading qubits.  The dense low-rank form is assembled as analyze's
+    report assembles it, so it is refused above DENSE_BUDGET_BYTES.
     """
     u_b = np.asarray(u_b, dtype=np.complex128)
     if not verify_condition(channel, u_b, d, eps):
         raise ValueError("factorization condition fails at this d")
     _, eta_hat = _transformed(reduced_density(channel, "bob"), u_b, d)
     targets = _target_columns(eta_hat, len(channel.alice), len(channel.bob), d, bell_high=True)
-    return _sender_unitary(channel, u_b, targets)[0]
+    u_a, factors = _sender_unitary(channel, u_b, targets)
+    return _assemble(*factors) if u_a is None else u_a
 
 
 def _sender_unitary(channel: ChannelState, u_b: np.ndarray, targets: np.ndarray):
     """synthesize_u_a's construction for given target columns.
 
-    Returns (u_a, factors): factors is the pair (W, C - I), both read-only,
-    when u_a was built as I + W (C - I) W†, and None when it was built
-    densely.
+    Returns (u_a, None) when u_a was built densely, and (None, (W, C - I)),
+    both factors read-only, when u_a = I + W (C - I) W†; the dense matrix
+    is then left to _assemble.
     """
     source = bipartition_matrix(channel) @ u_b.T
     weights = np.einsum("ak,ak->k", source.conj(), source).real
     keep = np.flatnonzero(weights > ZERO_EIGENVALUE)
     s, t = source[:, keep], targets[:, keep]
-    dim = s.shape[0]
-    if 2 * keep.size >= dim:
+    if 2 * keep.size >= s.shape[0]:
         u_a = _completed_frame(t) @ _completed_frame(s).conj().T
         if not linalg.is_unitary(u_a, 1e-9):
             raise ArithmeticError("synthesized sender unitary failed the unitarity check")
@@ -378,9 +436,7 @@ def _sender_unitary(channel: ChannelState, u_b: np.ndarray, targets: np.ndarray)
     if not linalg.is_unitary(c, tol) or np.max(np.abs(wh @ w - np.eye(k))) > tol:
         raise ArithmeticError("synthesized sender unitary failed the unitarity check")
     c[np.diag_indices(k)] -= 1.0
-    u_a = w @ c @ wh
-    u_a[np.diag_indices(dim)] += 1.0
-    return u_a, (_read_only(w), _read_only(c))
+    return None, (_read_only(w), _read_only(c))
 
 
 def analyze(channel: ChannelState, eps: float = DEFAULT_EPS) -> AnalysisReport:
@@ -409,7 +465,8 @@ def analyze(channel: ChannelState, eps: float = DEFAULT_EPS) -> AnalysisReport:
         raise ArithmeticError("factorization condition failed after synthesis")
     targets = _target_columns(eta_hat, m, n, d, bell_high=not swapped)
     u_purif, factors = _sender_unitary(oriented, u_struct, targets)
-    _read_only(u_purif)  # so the report adopts it instead of copying it
+    if u_purif is not None:
+        _read_only(u_purif)  # so the report adopts it instead of copying it
 
     entropy = _spectrum_entropy(np.clip(w, 0.0, None))
     relabeling = _relabeling(n_out, d)
@@ -429,7 +486,8 @@ def analyze(channel: ChannelState, eps: float = DEFAULT_EPS) -> AnalysisReport:
         pairs=pairs,
         swapped=swapped,
     )
-    # _sender_unitary has checked u_purif, so its dense check is not repeated
+    # _sender_unitary has checked u_purif or its factors, so no dense check
+    # is repeated; a purifier left as factors is assembled only when read
     object.__setattr__(report, "_purifier_checked", True)
     object.__setattr__(report, "_purifier_factors", factors)
     return report

@@ -5,9 +5,10 @@ Both protocol flavours consume a channel together with its analysis report:
 the local unitaries are applied first, to the channel alone before the
 payload joins, turning it into singlet pairs plus a residual factor; then
 each payload qubit is pushed through one pair.  Where analyze built the
-larger party's unitary as the identity plus a rank-2r correction, that
-correction is applied through its small factors, so a teleport never
-multiplies by the dense 2**m x 2**m matrix.  The Bell flavour measures
+larger party's unitary as the identity plus a rank-2r correction, the
+report keeps only its small factors and the correction is applied through
+them, so a teleport neither assembles nor multiplies by the dense
+2**m x 2**m matrix.  The Bell flavour measures
 (payload qubit, sender half) directly in the Bell basis; the circuit
 flavour first applies the standard two-qubit measurement circuit and reads
 both qubits in the computational basis.  The two differ only in how the
@@ -224,8 +225,9 @@ def _prepare(channel: ChannelState, payload: PureState, report: AnalysisReport):
 
     The local unitaries act on the channel's (sender x receiver) amplitude
     matrix before the payload joins, so their cost does not grow with the
-    payload; where analyze kept the purifier's factors, the dense 2**m x 2**m
-    purifier is never touched.
+    payload.  Where analyze kept the purifier's factors, the party sizes
+    are read from them and the purifier is applied through them, so the
+    dense 2**m x 2**m purifier is never assembled.
     """
     k = payload.n_qubits
     if k > report.capacity:
@@ -235,7 +237,7 @@ def _prepare(channel: ChannelState, payload: PureState, report: AnalysisReport):
     if not report.unitary:
         raise ValueError("report's u_a or u_b is not unitary within 1e-9")
     mat = bipartition_matrix(channel)
-    if report.u_a.shape[0] != mat.shape[0] or report.u_b.shape[0] != mat.shape[1]:
+    if report._dims != mat.shape:
         raise ValueError("report's unitaries do not match the channel's parties")
     order = channel.alice + channel.bob
     psi = report._canonicalize(mat).reshape((2,) * len(order)).transpose(np.argsort(order))
@@ -304,13 +306,13 @@ def _sampled_indices(probabilities: np.ndarray, k: int, seed, trials: int) -> np
 
 
 def _teleport(channel, payload, report, method, mode, seed, trials, eps):
-    if report is None:
-        report = analyze(channel, eps)
-    joint, triples = _prepare(channel, payload, report)
     if mode not in ("exhaustive", "sample"):
         raise ValueError("mode must be 'exhaustive' or 'sample'")
     if mode == "sample" and trials < 1:
         raise ValueError("trials must be at least 1")
+    if report is None:
+        report = analyze(channel, eps)
+    joint, triples = _prepare(channel, payload, report)
     k = len(triples)
     protocol = _PROTOCOLS[method]
     table = _branch_table(joint, triples, protocol.pair_operator)

@@ -1,10 +1,14 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracle import state_file_json
+from telecap import capacity
+from telecap.capacity import analyze
 from telecap.cli import (
+    _REPORT_BYTES_PER_ENTRY,
     EXIT_CAPACITY,
     EXIT_FIDELITY,
     EXIT_INFEASIBLE,
@@ -12,6 +16,7 @@ from telecap.cli import (
     EXIT_NORM,
     EXIT_OK,
     CliFailure,
+    _write_report,
     decode_state,
     load_state_file,
     main,
@@ -86,6 +91,30 @@ class TestAnalyzeCommand:
     def test_missing_file(self, run, tmp_path):
         code, _, err = run("analyze", tmp_path / "nope.json")
         assert code == EXIT_MALFORMED and "cannot read" in err
+
+    def test_report_refused_above_budget(self, run, tmp_path, monkeypatch):
+        path, report = tmp_path / "c.json", tmp_path / "report.json"
+        assert run("generate", 6, 1, 1, "--seed", 3, "-o", path)[0] == EXIT_OK
+        # 4**6 + 4**1 entries at _REPORT_BYTES_PER_ENTRY: about 2.2 MiB
+        monkeypatch.setattr(capacity, "DENSE_BUDGET_BYTES", 1 << 20)
+        code, out, err = run("analyze", path, "--report", report)
+        assert code == EXIT_INFEASIBLE and "capacity=1" in out
+        assert err == "error: the --report document needs 2 MiB, above the 1 MiB budget\n"
+        assert not report.exists()
+        monkeypatch.setattr(capacity, "DENSE_BUDGET_BYTES", 3 << 20)
+        assert run("analyze", path, "--report", report)[0] == EXIT_OK
+        assert len(json.loads(report.read_text())["u_a"]) == 64
+
+    def test_report_estimate_bounds_its_peak(self, tmp_path):
+        rep = analyze(generate_planted(6, 1, 1, seed=3).channel)
+        entries = 4 ** 6 + 4 ** 1
+        tracemalloc.start()
+        try:
+            _write_report(str(tmp_path / "report.json"), rep)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert entries * _REPORT_BYTES_PER_ENTRY / 2 < peak <= entries * _REPORT_BYTES_PER_ENTRY
 
 
 class TestVerifyCommand:

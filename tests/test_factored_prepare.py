@@ -1,17 +1,21 @@
 """The teleport step's canonicalization through the purifier's small
-factors, against the dense product, and the report's ownership of its
-matrices."""
+factors, against the dense product; the report's ownership of its
+matrices; the dense purifier built only on request, within the memory
+budget; and analyze plus teleport at the 16-qubit cap."""
 
 import dataclasses
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from telecap.capacity import analyze
+from telecap import capacity
+from telecap.capacity import analyze, canonical_state, synthesize_u_a
+from telecap.cli import main, save_state_file
 from telecap.corpus import generate_planted
 from telecap.states import random_pure_state
-from telecap.teleport import _prepare, teleport_bell
+from telecap.teleport import _prepare, teleport_bell, teleport_circuit
 
 # splits on both sides of 2r < 2**max(m, n), in both orientations
 SPLITS = [(3, 1), (4, 1), (5, 2), (6, 1), (4, 2), (2, 1), (3, 2), (3, 3), (4, 4)]
@@ -88,7 +92,7 @@ def test_lopsided_teleport_multiplies_no_wide_operator(m, n):
     assert (1024, 1024) not in widths
 
 
-def test_analyze_holds_one_dense_sender_unitary():
+def test_analyze_builds_no_dense_sender_unitary():
     channel = generate_planted(11, 1, 1, seed=111).channel
     tracemalloc.start()
     try:
@@ -98,7 +102,65 @@ def test_analyze_holds_one_dense_sender_unitary():
     finally:
         tracemalloc.stop()
     assert rep.u_a.shape == (2048, 2048)
-    assert peak < 1.5 * rep.u_a.nbytes
+    assert peak < rep.u_a.nbytes / 16
+
+
+@pytest.mark.parametrize("m,n", [(6, 1), (1, 6)])
+def test_dense_purifier_assembled_once_on_read(monkeypatch, tmp_path, m, n):
+    calls = []
+    assemble = capacity._assemble
+    monkeypatch.setattr(capacity, "_assemble",
+                        lambda w, dc: calls.append(w.shape) or assemble(w, dc))
+    channel = generate_planted(m, n, 1, seed=60 + m).channel
+    rep = analyze(channel)
+    payload = random_pure_state(1, seed=6)
+    for run in (teleport_bell, teleport_circuit):
+        assert run(channel, payload, rep).min_fidelity >= 1 - 1e-9
+        assert run(channel, payload, rep, mode="sample", seed=1, trials=3).min_fidelity >= 1 - 1e-9
+    canonical_state(channel, rep)
+    path = str(tmp_path / "c.json")
+    save_state_file(path, channel.state, channel.alice, channel.bob)
+    for argv in (["analyze", path], ["verify", path, "1"], ["teleport", path],
+                 ["teleport", path, "--method", "circuit", "--mode", "sample", "--trials", "4"]):
+        assert main(argv) == 0
+    assert calls == []
+    purifier = rep.u_b if rep.swapped else rep.u_a
+    assert calls == [(64, 4)] and not purifier.flags.writeable
+    assert (rep.u_b if rep.swapped else rep.u_a) is purifier and len(calls) == 1
+    w, dc = rep._purifier_factors
+    assert np.array_equal(purifier, np.eye(64) + w @ dc @ w.conj().T)
+
+
+@pytest.mark.parametrize("m,n", [(14, 1), (1, 14), (13, 2), (2, 13)])
+def test_analyze_and_teleport_at_the_cap(m, n):
+    channel = generate_planted(m, n, min(m, n), seed=16 * m + n).channel
+    payload = random_pure_state(1, seed=m)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        rep = analyze(channel)
+        fidelities = [run(channel, payload, rep).min_fidelity
+                      for run in (teleport_bell, teleport_circuit)]
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.capacity == min(m, n) and rep._purifier_factors is not None
+    assert min(fidelities) >= 1 - 1e-9
+    assert elapsed < 1.0
+    assert peak < 64 * 2**20
+
+
+def test_dense_purifier_refused_above_budget(monkeypatch):
+    channel = generate_planted(9, 1, 1, seed=91).channel
+    rep = analyze(channel)  # the 4 MiB purifier stays factored
+    monkeypatch.setattr(capacity, "DENSE_BUDGET_BYTES", 1 << 20)
+    assert teleport_bell(channel, random_pure_state(1, seed=9), rep).min_fidelity >= 1 - 1e-9
+    for read in (lambda: rep.u_a, lambda: synthesize_u_a(channel, rep.u_b, 1)):
+        with pytest.raises(ValueError, match="purifier needs 4 MiB, above the 1 MiB budget"):
+            read()
+    monkeypatch.setattr(capacity, "DENSE_BUDGET_BYTES", 4 << 20)
+    assert rep.u_a.shape == (512, 512)
 
 
 def test_report_adopts_frozen_arrays_and_copies_others():

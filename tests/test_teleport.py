@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from telecap import linalg
+from telecap import linalg, teleport
 from telecap.capacity import analyze
 from telecap.corpus import generate_planted, ghz_channel, n_bell_channel
 from telecap.states import (
@@ -209,6 +209,21 @@ class TestSampling:
         with pytest.raises(ValueError, match="trials"):
             teleport_bell(n_bell_channel(1), random_pure_state(1, 1),
                           mode="sample", trials=0)
+
+    @pytest.mark.parametrize("kwargs", [{"mode": "smaple"}, {"mode": "sample", "trials": 0}])
+    def test_bad_request_rejected_before_any_work(self, monkeypatch, kwargs):
+        calls = []
+        for name in ("analyze", "_prepare"):
+            fn = getattr(teleport, name)
+            monkeypatch.setattr(teleport, name,
+                                lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+        ch = n_bell_channel(1)
+        for run in (teleport_bell, teleport_circuit):
+            with pytest.raises(ValueError, match="mode|trials"):
+                run(ch, random_pure_state(1, 1), **kwargs)
+        assert calls == []
+        teleport_bell(ch, random_pure_state(1, 1))
+        assert calls == ["analyze", "_prepare"]
 
 
 class TestMethodEquivalence:
