@@ -25,13 +25,13 @@ Conventions fixed here and relied on by the teleport module:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .linalg import SpectrumClusters, cluster_spectrum, hermitian_eig
+from .linalg import DEFAULT_EPS, SpectrumClusters, cluster_spectrum, hermitian_eig
 from .states import ChannelState, PureState
 
 __all__ = [
@@ -47,10 +47,10 @@ __all__ = [
     "verify_condition",
     "synthesize_u_a",
     "analyze",
+    "certify",
     "canonical_state",
 ]
 
-DEFAULT_EPS = 1e-9
 ZERO_EIGENVALUE = 1e-12  # branch weight below this is treated as absent
 
 _GS_ACCEPT = 1e-7  # Gram-Schmidt residual norm below which columns are dependent
@@ -439,6 +439,26 @@ def _sender_unitary(channel: ChannelState, u_b: np.ndarray, targets: np.ndarray)
     return None, (_read_only(w), _read_only(c))
 
 
+def _structural(oriented: ChannelState, eps: float, d: int | None = None):
+    """The steps that decide capacity, on the smaller party as oriented
+    receiver: its reduced density, one eigh, the clusters, then u_b and
+    the factorization certificate at d (default: the largest admissible).
+    Returns (w, clusters, d, cert), w the descending eigenvalues; cert is
+    None when the spectrum does not admit d, else (u_b, eta, eta_hat,
+    holds), holds the certificate's verdict."""
+    rho = reduced_density(oriented, "bob")
+    w, v = hermitian_eig(rho)
+    clusters = cluster_spectrum(w, eps, eigenvectors=v)
+    top = max_capacity(clusters, len(oriented.alice), len(oriented.bob))
+    if d is None:
+        d = top
+    elif not 0 <= d <= top:
+        return w, clusters, d, None
+    u_b, eta, _ = synthesize_u_b(oriented, clusters, d)
+    rho_t, eta_hat = _transformed(rho, u_b, d)
+    return w, clusters, d, (u_b, eta, eta_hat, _factors(rho_t, eta_hat, d, eps))
+
+
 def analyze(channel: ChannelState, eps: float = DEFAULT_EPS) -> AnalysisReport:
     """Full pipeline: reduced density, spectrum clustering, capacity, and
     both canonicalizing unitaries.
@@ -455,13 +475,8 @@ def analyze(channel: ChannelState, eps: float = DEFAULT_EPS) -> AnalysisReport:
     oriented = channel.swapped() if swapped else channel
     m, n = len(oriented.alice), len(oriented.bob)
 
-    rho = reduced_density(oriented, "bob")
-    w, v = hermitian_eig(rho)
-    clusters = cluster_spectrum(w, eps, eigenvectors=v)
-    d = max_capacity(clusters, m, n)
-    u_struct, eta, _ = synthesize_u_b(oriented, clusters, d)
-    rho_t, eta_hat = _transformed(rho, u_struct, d)
-    if not _factors(rho_t, eta_hat, d, eps):
+    w, clusters, d, (u_struct, eta, eta_hat, holds) = _structural(oriented, eps)
+    if not holds:
         raise ArithmeticError("factorization condition failed after synthesis")
     targets = _target_columns(eta_hat, m, n, d, bell_high=not swapped)
     u_purif, factors = _sender_unitary(oriented, u_struct, targets)
@@ -491,6 +506,27 @@ def analyze(channel: ChannelState, eps: float = DEFAULT_EPS) -> AnalysisReport:
     object.__setattr__(report, "_purifier_checked", True)
     object.__setattr__(report, "_purifier_factors", factors)
     return report
+
+
+def certify(channel: ChannelState, d: int, eps: float = DEFAULT_EPS):
+    """The receiver's eigenvalue clusters, and whether the factorization
+    certificate holds at a claimed capacity d (None when the spectrum does
+    not admit d), decided on the smaller party as analyze decides.
+
+    A receiver with more qubits (n > m) has the sender's spectrum plus
+    2**n - 2**m exact zeros.  Greedy clustering puts them all into the
+    cluster the first one joins, so one zero is clustered and its cluster
+    grown by the rest.  The decision is the same on either party: the
+    nonzero spectra agree, and 2**n - 2**m is a multiple of 2**d for every
+    d <= m, so no multiplicity changes its residue mod 2**d.
+    """
+    swapped = len(channel.alice) < len(channel.bob)
+    w, clusters, _, cert = _structural(channel.swapped() if swapped else channel, eps, d)
+    if swapped:
+        *head, last = cluster_spectrum(np.append(w, 0.0), eps).clusters
+        pad = (1 << len(channel.bob)) - w.size - 1
+        clusters = SpectrumClusters((*head, replace(last, multiplicity=last.multiplicity + pad)))
+    return clusters, None if cert is None else cert[-1]
 
 
 def canonical_state(channel: ChannelState, report: AnalysisReport) -> PureState:

@@ -26,19 +26,10 @@ from itertools import chain
 
 import numpy as np
 
-from .capacity import (
-    DEFAULT_EPS,
-    _check_budget,
-    _two_adic,
-    analyze,
-    max_capacity,
-    reduced_density,
-    synthesize_u_b,
-    verify_condition,
-)
+from .capacity import DEFAULT_EPS, _check_budget, _two_adic, analyze, certify
 from .corpus import generate_planted, ghz_canonical_form, ghz_channel, ghz_cnot_chain
-from .linalg import cluster_spectrum, hermitian_eig
-from .states import ChannelState, PureState, apply_unitary, fidelity, random_pure_state
+from .states import (MAX_QUBITS, ChannelState, PureState, apply_unitary, fidelity,
+                     random_pure_state)
 from .teleport import CapacityShortfall, teleport_bell, teleport_circuit
 
 __all__ = [
@@ -284,18 +275,16 @@ def _cmd_verify(args) -> int:
     if not 0 <= d <= min(m, n):
         raise CliFailure(EXIT_INFEASIBLE,
                          f"claimed capacity {d} outside 0..min({m}, {n})")
-    w, v = hermitian_eig(reduced_density(channel, "bob"))
-    clusters = cluster_spectrum(w, args.eps, eigenvectors=v)
+    clusters, holds = certify(channel, d, args.eps)
     _print_clusters(clusters)
-    if d > max_capacity(clusters, m, n):
+    if holds is None:
         c = next(c for c in clusters.clusters if _two_adic(c.multiplicity) < d)
         raise CliFailure(
             EXIT_INFEASIBLE,
             f"multiplicity {c.multiplicity} at value {c.value:.9f} "
             f"is not divisible by 2**{d}",
         )
-    u_b, _, _ = synthesize_u_b(channel, clusters, d)
-    if not verify_condition(channel, u_b, d, args.eps):
+    if not holds:
         raise CliFailure(EXIT_INFEASIBLE,
                          f"factorization condition fails at capacity {d}")
     print(f"condition holds at capacity={d}")
@@ -308,7 +297,11 @@ def _teleport_run(channel, payload, args, method):
     if payload is None:
         if report.capacity == 0:
             raise CapacityShortfall("channel capacity is 0, nothing can be sent")
-        payload = random_pure_state(report.capacity, payload_seed)
+        room = MAX_QUBITS - channel.state.n_qubits
+        if room == 0:
+            raise CliFailure(EXIT_INFEASIBLE, f"the channel fills the {MAX_QUBITS}-qubit "
+                             "cap and leaves no room for a payload")
+        payload = random_pure_state(min(report.capacity, room), payload_seed)
     print(f"entropy={report.entropy_bits:.6f} capacity={report.capacity}")
     run = teleport_bell if method == "bell" else teleport_circuit
     result = run(channel, payload, report, mode=args.mode,

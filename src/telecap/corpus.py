@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import MAX_DIM
+from .linalg import DEFAULT_EPS, MAX_DIM
 from .states import (
     MAX_QUBITS,
     ChannelState,
@@ -170,7 +170,7 @@ class PlantedChannel:
 
 
 def generate_planted(m: int, n: int, d: int, seed: int,
-                     eps: float = 1e-9) -> PlantedChannel:
+                     eps: float = DEFAULT_EPS) -> PlantedChannel:
     """Channel of known capacity d: Bell stack times generic residual,
     hidden behind independent Haar unitaries on each side.
 

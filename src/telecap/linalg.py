@@ -13,11 +13,9 @@ import numpy as np
 
 __all__ = [
     "MAX_DIM",
-    "DEFAULT_CLUSTER_EPS",
+    "DEFAULT_EPS",
     "EigenvalueCluster",
     "SpectrumClusters",
-    "kron",
-    "partial_trace",
     "hermitian_eig",
     "cluster_spectrum",
     "schmidt_decompose",
@@ -25,7 +23,7 @@ __all__ = [
 ]
 
 MAX_DIM = 1 << 16           # 16-qubit cap on any matrix or product
-DEFAULT_CLUSTER_EPS = 1e-9  # absolute, on trace-one spectra
+DEFAULT_EPS = 1e-9          # absolute, on trace-one spectra
 
 _HERMITIAN_TOL = 1e-9
 _PHASE_TOL = 1e-12
@@ -40,45 +38,12 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, rejecting outputs above the 16-qubit cap."""
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape[0] * b.shape[0] > MAX_DIM or a.shape[1] * b.shape[1] > MAX_DIM:
-        raise ValueError("kron output would exceed the 2**16 dimension cap")
-    return np.kron(a, b)
-
-
 def is_unitary(u, tol: float = 1e-9) -> bool:
     """Max-norm test of U†U = I."""
     u = _as_matrix(u, "u")
     if u.shape[0] != u.shape[1]:
         raise ValueError("u must be square")
     return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= tol)
-
-
-def partial_trace(rho, qubit_count: int, traced_out) -> np.ndarray:
-    """Trace the given qubits out of a density matrix.
-
-    Kept qubits keep their ascending order.  Qubit 0 is the most significant
-    bit of the basis index (big-endian, as everywhere in this package).
-    """
-    rho = _as_matrix(rho, "rho")
-    dim = 1 << qubit_count
-    if rho.shape != (dim, dim):
-        raise ValueError(f"rho must be {dim}x{dim} for {qubit_count} qubits")
-    if np.max(np.abs(rho - rho.conj().T)) > _HERMITIAN_TOL:
-        raise ValueError("rho is not Hermitian within 1e-9")
-    traced = sorted(set(int(q) for q in traced_out))
-    if traced and (traced[0] < 0 or traced[-1] >= qubit_count):
-        raise ValueError("traced_out qubits outside range")
-    kept = [q for q in range(qubit_count) if q not in set(traced)]
-    t = rho.reshape((2,) * (2 * qubit_count))
-    order = kept + traced + [qubit_count + q for q in kept] + [qubit_count + q for q in traced]
-    t = np.transpose(t, order).reshape(
-        1 << len(kept), 1 << len(traced), 1 << len(kept), 1 << len(traced)
-    )
-    return np.einsum("aibi->ab", t)
 
 
 def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
@@ -132,7 +97,7 @@ class SpectrumClusters:
         return [c.multiplicity for c in self.clusters]
 
 
-def cluster_spectrum(eigenvalues, eps: float = DEFAULT_CLUSTER_EPS,
+def cluster_spectrum(eigenvalues, eps: float = DEFAULT_EPS,
                      eigenvectors: np.ndarray | None = None) -> SpectrumClusters:
     """Greedy degeneracy clustering of a descending spectrum.
 

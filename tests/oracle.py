@@ -119,6 +119,24 @@ def spectral_capacity(channel: ChannelState, eps: float = 1e-9) -> int:
     return min(min(two_adic_division(g) for g in groups), m, n)
 
 
+def receiver_clusters(channel: ChannelState, eps: float) -> list[tuple[float, int]]:
+    """(value, multiplicity) of each eigenvalue cluster of the receiver's
+    own density, over the receiver's full space even when it is the larger
+    party: eigh of that density, then greedy anchor clustering, with each
+    anchor clamped into [0, 1] as the value."""
+    st = channel.state
+    psi = st.amplitudes.reshape((2,) * st.n_qubits)
+    psi = np.transpose(psi, channel.alice + channel.bob).reshape(1 << len(channel.alice), -1)
+    w = np.linalg.eigvalsh(psi.T @ psi.conj())[::-1]
+    clusters = []
+    for x in w:
+        if clusters and clusters[-1][0] - x <= eps:
+            clusters[-1][1] += 1
+        else:
+            clusters.append([x, 1])
+    return [(min(max(float(v), 0.0), 1.0), k) for v, k in clusters]
+
+
 def entropy_bits_direct(p) -> float:
     """Shannon entropy of a probability vector, dropping true zeros."""
     total = 0.0

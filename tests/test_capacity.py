@@ -6,12 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import entropy_bits_direct, spectral_capacity, two_adic_division
+from oracle import (
+    entropy_bits_direct,
+    partial_trace_loops,
+    receiver_clusters,
+    spectral_capacity,
+    two_adic_division,
+)
 from telecap import linalg
 from telecap.capacity import (
     analyze,
     bipartition_matrix,
     canonical_state,
+    certify,
     entanglement_entropy,
     max_capacity,
     reduced_density,
@@ -62,7 +69,7 @@ class TestReducedDensity:
     def test_bob_density_is_partial_trace(self):
         ch = random_channel(2, 2, seed=2)
         rho = np.outer(ch.state.amplitudes, ch.state.amplitudes.conj())
-        want = linalg.partial_trace(rho, 4, ch.alice)
+        want = partial_trace_loops(rho, 4, ch.alice)
         got = reduced_density(ch, "bob")
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -171,6 +178,50 @@ class TestSynthesis:
         rep = analyze(ch)
         with pytest.raises(ValueError, match="condition"):
             synthesize_u_a(ch, rep.u_b, 2)
+
+
+def schmidt_channel(m: int, n: int, weights, seed: int) -> ChannelState:
+    """m|n channel with the given Schmidt weights behind random local
+    unitaries."""
+    rng = np.random.default_rng(seed)
+
+    def frame(dim):
+        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        return np.linalg.qr(z)[0]
+
+    k = len(weights)
+    mat = frame(1 << m)[:, :k] @ np.diag(np.sqrt(weights)) @ frame(1 << n)[:, :k].T
+    return ChannelState(PureState(mat.reshape(-1) / np.linalg.norm(mat)),
+                        tuple(range(m)), tuple(range(m, m + n)))
+
+
+# rank 3 of 4.  Before normalizing: a pair 4e-10 apart clusters at both
+# eps, a pair 3e-9 apart only at 1e-6, and a 5e-10 weight joins the zeros.
+RANK_DEFICIENT = [0.4, 0.4, 0.2]
+NEAR_DEGENERATE = [0.25, 0.25 - 4e-10, 0.2, 0.2 - 3e-9, 0.1, 0.1, 0.1 - 3e-9 + 4e-10, 5e-10]
+
+
+class TestCertify:
+    @pytest.mark.parametrize("eps", [1e-9, 1e-6])
+    @pytest.mark.parametrize("case", [
+        ("planted", 1, 8, 1), ("planted", 8, 1, 1), ("planted", 2, 7, 1), ("planted", 7, 2, 2),
+        ("planted", 3, 6, 2), ("planted", 6, 3, 0), ("planted", 4, 5, 2), ("planted", 5, 4, 3),
+        ("planted", 3, 3, 1), ("rank", 2, 5, RANK_DEFICIENT), ("rank", 5, 2, RANK_DEFICIENT),
+        ("near", 3, 6, NEAR_DEGENERATE), ("near", 6, 3, NEAR_DEGENERATE),
+    ], ids=lambda c: f"{c[0]}-{c[1]}x{c[2]}")
+    def test_receiver_clusters_match_its_own_density(self, case, eps):
+        kind, m, n, arg = case
+        if kind == "planted":
+            ch = generate_planted(m, n, arg, seed=10 * m + n).channel
+        else:
+            ch = schmidt_channel(m, n, np.asarray(arg) / np.sum(arg), seed=m + n)
+        want = receiver_clusters(ch, eps)
+        top = min(min(two_adic_division(k) for _, k in want), m, n)
+        for d in range(min(m, n) + 2):
+            clusters, holds = certify(ch, d, eps)
+            assert clusters.multiplicities() == [k for _, k in want]
+            assert np.max(np.abs(np.subtract(clusters.values(), [v for v, _ in want]))) < 1e-12
+            assert holds is (True if d <= top else None)
 
 
 class TestAnalyze:

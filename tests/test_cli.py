@@ -152,6 +152,19 @@ class TestTeleportCommand:
         assert all("fidelity=1.000000000000" in l for l in lines)
         assert "min_fidelity=1.000000000000" in out
 
+    def test_default_payload_fits_the_qubit_cap(self, run, tmp_path):
+        # a 15-qubit channel of capacity 2 leaves room for a 1-qubit payload
+        path = tmp_path / "c213.json"
+        assert run("generate", 2, 13, 2, "--seed", 3, "-o", path)[0] == EXIT_OK
+        code, out, _ = run("teleport", path)
+        assert code == EXIT_OK and "capacity=2" in out
+        assert "payload_qubits=1 " in out and "min_fidelity=1.000000000000" in out
+
+    def test_no_room_for_default_payload(self, run):
+        code, _, err = run("demo-ghz", 16, 8)
+        assert code == EXIT_INFEASIBLE
+        assert err == "error: the channel fills the 16-qubit cap and leaves no room for a payload\n"
+
     def test_sample_mode(self, run, planted_file):
         code, out, _ = run("teleport", planted_file, "--mode", "sample",
                            "--trials", 5, "--seed", 3, "--method", "circuit")

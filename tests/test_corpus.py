@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracle import haar_unitary_square_qr, spectral_capacity
+from oracle import haar_unitary_square_qr, partial_trace_loops, spectral_capacity
 from telecap import corpus
 from telecap.capacity import entanglement_entropy
 from telecap.corpus import (
@@ -17,7 +17,7 @@ from telecap.corpus import (
     n_bell_channel,
     random_channel,
 )
-from telecap.linalg import cluster_spectrum, is_unitary, partial_trace
+from telecap.linalg import cluster_spectrum, is_unitary
 from telecap.states import ChannelState, apply_unitary, fidelity, random_pure_state
 
 S = 1.0 / np.sqrt(2.0)
@@ -41,7 +41,7 @@ class TestHaarUnitary:
         trials = 3000
         for seed in range(trials):
             psi = random_pure_state(2, seed)
-            rho = partial_trace(np.outer(psi.amplitudes, psi.amplitudes.conj()), 2, [1])
+            rho = partial_trace_loops(np.outer(psi.amplitudes, psi.amplitudes.conj()), 2, [1])
             total += 2.0 * float(np.trace(rho @ rho).real) - 1.0
         assert total / trials == pytest.approx(0.6, abs=0.02)
 

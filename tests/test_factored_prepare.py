@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from telecap import capacity
-from telecap.capacity import analyze, canonical_state, synthesize_u_a
+from telecap.capacity import analyze, canonical_state, certify, synthesize_u_a
 from telecap.cli import main, save_state_file
 from telecap.corpus import generate_planted
 from telecap.states import random_pure_state
@@ -141,12 +141,14 @@ def test_analyze_and_teleport_at_the_cap(m, n):
         rep = analyze(channel)
         fidelities = [run(channel, payload, rep).min_fidelity
                       for run in (teleport_bell, teleport_circuit)]
+        verdicts = [certify(channel, d)[1] for d in (rep.capacity, rep.capacity + 1)]
         elapsed = time.perf_counter() - start
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert rep.capacity == min(m, n) and rep._purifier_factors is not None
     assert min(fidelities) >= 1 - 1e-9
+    assert verdicts == [True, None]
     assert elapsed < 1.0
     assert peak < 64 * 2**20
 

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import partial_trace_loops
 from telecap import linalg
 
 
@@ -13,32 +12,6 @@ def random_density(n_qubits: int, seed: int) -> np.ndarray:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
-
-
-class TestPartialTrace:
-    @pytest.mark.parametrize("traced", [(0,), (1,), (2,), (0, 2), (1, 2), (0, 1, 2)])
-    def test_matches_loop_oracle(self, traced):
-        rho = random_density(3, seed=hash(traced) % 1000)
-        got = linalg.partial_trace(rho, 3, traced)
-        want = partial_trace_loops(rho, 3, traced)
-        assert np.max(np.abs(got - want)) < 1e-12
-
-    def test_product_density_factors(self):
-        rho_a = random_density(1, 5)
-        rho_b = random_density(2, 6)
-        rho = np.kron(rho_a, rho_b)
-        assert np.max(np.abs(linalg.partial_trace(rho, 3, [1, 2]) - rho_a)) < 1e-12
-        assert np.max(np.abs(linalg.partial_trace(rho, 3, [0]) - rho_b)) < 1e-12
-
-    def test_trace_preserved(self):
-        rho = random_density(4, 7)
-        out = linalg.partial_trace(rho, 4, [0, 3])
-        assert abs(np.trace(out) - 1.0) < 1e-12
-
-    def test_rejects_non_hermitian(self):
-        m = np.arange(16, dtype=complex).reshape(4, 4)
-        with pytest.raises(ValueError, match="Hermitian"):
-            linalg.partial_trace(m, 2, [0])
 
 
 class TestHermitianEig:
@@ -125,11 +98,6 @@ class TestSchmidt:
 
 
 class TestGuards:
-    def test_kron_cap(self):
-        a = np.eye(1 << 9)
-        with pytest.raises(ValueError, match="cap"):
-            linalg.kron(a, a)
-
     def test_is_unitary(self):
         assert linalg.is_unitary(np.eye(4))
         assert not linalg.is_unitary(np.eye(4) * 1.0001)
