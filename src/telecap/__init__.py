@@ -40,8 +40,6 @@ from .teleport import (
     CapacityShortfall,
     TeleportResult,
     correction_operator,
-    expansion_identity_defect,
-    received_state,
     teleport_bell,
     teleport_circuit,
 )
@@ -63,7 +61,6 @@ __all__ = [
     "canonical_state",
     "correction_operator",
     "entanglement_entropy",
-    "expansion_identity_defect",
     "fidelity",
     "generate_planted",
     "ghz_channel",
@@ -72,7 +69,6 @@ __all__ = [
     "n_bell_channel",
     "random_channel",
     "random_pure_state",
-    "received_state",
     "reduced_density",
     "synthesize_u_a",
     "synthesize_u_b",

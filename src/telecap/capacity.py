@@ -31,8 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .linalg import DEFAULT_EPS, SpectrumClusters, cluster_spectrum, hermitian_eig
-from .states import ChannelState, PureState
+from .linalg import ABSENT_WEIGHT, DEFAULT_EPS, SpectrumClusters, cluster_spectrum, hermitian_eig
+from .states import ChannelState, PureState, _read_only
 
 __all__ = [
     "DEFAULT_EPS",
@@ -51,7 +51,7 @@ __all__ = [
     "canonical_state",
 ]
 
-ZERO_EIGENVALUE = 1e-12  # branch weight below this is treated as absent
+ZERO_EIGENVALUE = ABSENT_WEIGHT  # branch weight below this is treated as absent
 
 _GS_ACCEPT = 1e-7  # Gram-Schmidt residual norm below which columns are dependent
 _FACTOR_TOL = 1e-10  # spectral-norm defect allowed in u_a's small factors
@@ -149,8 +149,8 @@ class AnalysisReport:
         assembles its purifier here.
         """
         structural, purifying = ("u_a", "u_b") if self.swapped else ("u_b", "u_a")
-        return linalg.is_unitary(getattr(self, structural), 1e-9) and (
-            self._purifier_checked or linalg.is_unitary(getattr(self, purifying), 1e-9))
+        return linalg.is_unitary(getattr(self, structural)) and (
+            self._purifier_checked or linalg.is_unitary(getattr(self, purifying)))
 
     @property
     def _dims(self) -> tuple[int, int]:
@@ -185,11 +185,6 @@ def _adoptable(m) -> bool:
     array that nobody can write through."""
     return (type(m) is np.ndarray and m.dtype == np.complex128
             and not m.flags.writeable and m.flags.owndata)
-
-
-def _read_only(m: np.ndarray) -> np.ndarray:
-    m.setflags(write=False)
-    return m
 
 
 def _assemble(w: np.ndarray, dc: np.ndarray) -> np.ndarray:
@@ -305,14 +300,19 @@ def verify_condition(channel: ChannelState, u_b, d: int, eps: float = DEFAULT_EP
     tracing out the uniform qubits, so the test has no free parameters.
     d = 0 always passes.
     """
+    return _certificate(channel, u_b, d, eps)[2]
+
+
+def _certificate(channel: ChannelState, u_b, d: int, eps: float):
+    """verify_condition's checks, then (u_b as an array, eta_hat, verdict)."""
     n = len(channel.bob)
     if not 0 <= d <= n:
         raise ValueError("d outside 0..n")
     u_b = np.asarray(u_b, dtype=np.complex128)
-    if u_b.shape != (1 << n, 1 << n) or not linalg.is_unitary(u_b, 1e-9):
+    if u_b.shape != (1 << n, 1 << n) or not linalg.is_unitary(u_b):
         raise ValueError("u_b is not a receiver-side unitary")
     rho, eta_hat = _transformed(reduced_density(channel, "bob"), u_b, d)
-    return _factors(rho, eta_hat, d, eps)
+    return u_b, eta_hat, _factors(rho, eta_hat, d, eps)
 
 
 def _bell_sign(i: int, d: int) -> float:
@@ -403,10 +403,9 @@ def synthesize_u_a(channel: ChannelState, u_b, d: int, eps: float = DEFAULT_EPS)
     leading qubits.  The dense low-rank form is assembled as analyze's
     report assembles it, so it is refused above DENSE_BUDGET_BYTES.
     """
-    u_b = np.asarray(u_b, dtype=np.complex128)
-    if not verify_condition(channel, u_b, d, eps):
+    u_b, eta_hat, holds = _certificate(channel, u_b, d, eps)
+    if not holds:
         raise ValueError("factorization condition fails at this d")
-    _, eta_hat = _transformed(reduced_density(channel, "bob"), u_b, d)
     targets = _target_columns(eta_hat, len(channel.alice), len(channel.bob), d, bell_high=True)
     u_a, factors = _sender_unitary(channel, u_b, targets)
     return _assemble(*factors) if u_a is None else u_a
@@ -425,7 +424,7 @@ def _sender_unitary(channel: ChannelState, u_b: np.ndarray, targets: np.ndarray)
     s, t = source[:, keep], targets[:, keep]
     if 2 * keep.size >= s.shape[0]:
         u_a = _completed_frame(t) @ _completed_frame(s).conj().T
-        if not linalg.is_unitary(u_a, 1e-9):
+        if not linalg.is_unitary(u_a):
             raise ArithmeticError("synthesized sender unitary failed the unitarity check")
         return u_a, None
     w, _ = np.linalg.qr(np.concatenate([s, t], axis=1))

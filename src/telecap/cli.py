@@ -13,7 +13,7 @@ Exit codes:
 2  malformed input (unreadable or structurally invalid state file)
 3  norm invariant violated (amplitudes off unit norm by more than 1e-6)
 4  infeasible request (bad split, inadmissible capacity claim, failed
-   condition check)
+   condition check, out of memory)
 5  a protocol branch fell below the fidelity floor
 """
 
@@ -191,12 +191,6 @@ def _load_payload(path: str) -> PureState:
 
 # ------------------------------------------------------------------ reporting
 
-def _matrix_json(m) -> list | None:
-    if m is None:
-        return None
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m)]
-
-
 def _print_clusters(clusters) -> None:
     for c in clusters.clusters:
         print(f"cluster value={c.value:.9f} multiplicity={c.multiplicity} "
@@ -211,13 +205,26 @@ def _print_analysis(report) -> None:
         print(f"pair {t}: alice_qubit={a} bob_qubit={b}")
 
 
-# Peak bytes per complex matrix entry while the --report document is built
-# and encoded: the nested [re, im] lists plus json's indented chunks.  Measured
-# above the process's baseline at 528 on planted 8|1, 9|1 and 10|1.
-_REPORT_BYTES_PER_ENTRY = 560
+def _matrix_text(m: np.ndarray) -> str:
+    """A report matrix's text in one pass, with the bytes json.dumps(...,
+    indent=2) gives its nested [re, im] lists at the document's top level:
+    one format string fills in every pair."""
+    pair = "      [\n        %r,\n        %r\n      ]"
+    row = "    [\n" + ",\n".join([pair] * m.shape[1]) + "\n    ]"
+    text = "[\n" + ",\n".join([row] * m.shape[0]) + "\n  ]"
+    return text % tuple(np.ravel(m).view(np.float64).tolist())
+
+
+# Peak bytes per complex matrix entry while the --report text is built: the
+# format string, the floats and the text.  Measured under tracemalloc at 200
+# on planted 6|1 and 7|1 and at 218 on 8|1 and 9|1.
+_REPORT_BYTES_PER_ENTRY = 240
 
 
 def _write_report(path: str, report) -> None:
+    """Write the --report document with the bytes of json.dumps(doc,
+    indent=2) plus a newline.  The text is built before the file is opened,
+    so a failure leaves no file."""
     dim_a, dim_b = report._dims
     entries = dim_a * dim_a + dim_b * dim_b + (0 if report.eta is None else report.eta.size)
     _check_budget(entries * _REPORT_BYTES_PER_ENTRY, "the --report document")
@@ -232,12 +239,14 @@ def _write_report(path: str, report) -> None:
         "swapped": report.swapped,
         "pairs": [list(p) for p in report.pairs],
         "bob_relabeling": list(report.bob_relabeling),
-        "u_a": _matrix_json(report.u_a),
-        "u_b": _matrix_json(report.u_b),
-        "eta": _matrix_json(report.eta),
+        "u_a": None, "u_b": None, "eta": None,
     }
+    head, *tails = dump_document(doc).split("null")  # the three matrices' slots
+    pieces = [head]
+    for m, tail in zip((report.u_a, report.u_b, report.eta), tails):
+        pieces += ["null" if m is None else _matrix_text(m), tail]
     with open(path, "w", encoding="ascii") as fp:
-        fp.write(dump_document(doc))
+        fp.writelines(pieces)
 
 
 def _print_branches(result) -> None:
@@ -419,6 +428,9 @@ def main(argv=None) -> int:
         return EXIT_CAPACITY
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except MemoryError as exc:
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return EXIT_INFEASIBLE
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_EPS, MAX_DIM
+from .linalg import DEFAULT_EPS, MAX_DIM, UNITARY_TOL
 from .states import (
     MAX_QUBITS,
     ChannelState,
@@ -49,9 +49,6 @@ __all__ = [
     "PlantedChannel",
     "generate_planted",
 ]
-
-
-_ISOMETRY_TOL = 1e-9
 
 
 def haar_unitary(dim: int, seed) -> np.ndarray:
@@ -82,7 +79,7 @@ def _scramble_rows(mat: np.ndarray, seed) -> np.ndarray:
     q, r = np.linalg.qr(mat)
     v = _haar_isometry(np.random.default_rng(seed), *q.shape)
     gram = v.conj().T @ v
-    if np.max(np.abs(gram - np.eye(gram.shape[0]))) > _ISOMETRY_TOL:
+    if np.max(np.abs(gram - np.eye(gram.shape[0]))) > UNITARY_TOL:
         raise ArithmeticError("drawn isometry is not orthonormal within 1e-9")
     return v @ r
 

@@ -18,12 +18,19 @@ __all__ = [
     "SpectrumClusters",
     "hermitian_eig",
     "cluster_spectrum",
-    "schmidt_decompose",
     "is_unitary",
+    "UNITARY_TOL",
+    "NORM_TOL",
+    "ABSENT_WEIGHT",
 ]
 
 MAX_DIM = 1 << 16           # 16-qubit cap on any matrix or product
 DEFAULT_EPS = 1e-9          # absolute, on trace-one spectra
+
+# Tolerances that more than one module applies, one name per meaning.
+UNITARY_TOL = 1e-9          # max-norm defect of U†U - I, or of a Gram matrix - I
+NORM_TOL = 1e-9             # allowed | ||v|| - 1 | of a state vector
+ABSENT_WEIGHT = 1e-12       # a branch probability or eigenvalue this small is absent
 
 _HERMITIAN_TOL = 1e-9
 _PHASE_TOL = 1e-12
@@ -38,7 +45,7 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def is_unitary(u, tol: float = 1e-9) -> bool:
+def is_unitary(u, tol: float = UNITARY_TOL) -> bool:
     """Max-norm test of U†U = I."""
     u = _as_matrix(u, "u")
     if u.shape[0] != u.shape[1]:
@@ -86,16 +93,6 @@ class EigenvalueCluster:
 class SpectrumClusters:
     clusters: tuple[EigenvalueCluster, ...]
 
-    @property
-    def dimension(self) -> int:
-        return sum(c.multiplicity for c in self.clusters)
-
-    def values(self) -> list[float]:
-        return [c.value for c in self.clusters]
-
-    def multiplicities(self) -> list[int]:
-        return [c.multiplicity for c in self.clusters]
-
 
 def cluster_spectrum(eigenvalues, eps: float = DEFAULT_EPS,
                      eigenvectors: np.ndarray | None = None) -> SpectrumClusters:
@@ -128,27 +125,3 @@ def cluster_spectrum(eigenvalues, eps: float = DEFAULT_EPS,
         start = stop
     return SpectrumClusters(tuple(clusters))
 
-
-def schmidt_decompose(state, dim_a: int, dim_b: int):
-    """Schmidt form of a bipartite pure state.
-
-    Returns (coefficients, a_vectors, b_vectors) with coefficients descending
-    and the orthonormal frames as matrix columns, so that
-    state = sum_k s_k * a_k (x) b_k.  Phases follow the first-component
-    convention of hermitian_eig.
-    """
-    v = np.asarray(state, dtype=np.complex128).ravel()
-    if v.size != dim_a * dim_b:
-        raise ValueError("state length does not match dim_a * dim_b")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-        raise ValueError("state is not unit norm within 1e-9")
-    u, s, vh = np.linalg.svd(v.reshape(dim_a, dim_b), full_matrices=False)
-    u = u.copy()
-    vh = vh.copy()
-    for k in range(s.size):
-        idx = np.flatnonzero(np.abs(u[:, k]) > _PHASE_TOL)
-        if idx.size:
-            ph = u[idx[0], k]
-            u[:, k] *= ph.conjugate() / abs(ph)
-            vh[k, :] *= ph / abs(ph)
-    return s, u, vh.T

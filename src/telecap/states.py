@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .linalg import ABSENT_WEIGHT, NORM_TOL, UNITARY_TOL
 
 __all__ = [
     "MAX_QUBITS",
@@ -31,13 +32,10 @@ __all__ = [
 ]
 
 MAX_QUBITS = 16
-NORM_TOL = 1e-9
-UNREACHABLE_PROBABILITY = 1e-12
-
-_UNITARY_TOL = 1e-9
+UNREACHABLE_PROBABILITY = ABSENT_WEIGHT
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
 
@@ -59,7 +57,7 @@ class PureState:
             raise ValueError("amplitudes contain non-finite entries")
         if abs(np.linalg.norm(v) - 1.0) > NORM_TOL:
             raise ValueError("state is not unit norm within 1e-9")
-        object.__setattr__(self, "amplitudes", _frozen(v.copy()))
+        object.__setattr__(self, "amplitudes", _read_only(v.copy()))
 
     @property
     def n_qubits(self) -> int:
@@ -142,7 +140,7 @@ def apply_unitary(state: PureState, u, targets) -> PureState:
     The operator's own big-endian qubit order matches the order of targets:
     its most significant qubit acts on targets[0].
     """
-    if not linalg.is_unitary(u, _UNITARY_TOL):
+    if not linalg.is_unitary(u):
         raise ValueError("operator is not unitary within 1e-9")
     targets = [int(q) for q in targets]
     n = state.n_qubits
@@ -206,7 +204,7 @@ def project_and_collapse(state: PureState, targets, basis, outcome: int):
     if mat.shape[0] != 1 << k:
         raise ValueError("basis states do not match target count")
     gram = mat.conj().T @ mat
-    if np.max(np.abs(gram - np.eye(mat.shape[1]))) > 1e-9:
+    if np.max(np.abs(gram - np.eye(mat.shape[1]))) > UNITARY_TOL:
         raise ValueError("projector basis is not orthonormal within 1e-9")
     if not 0 <= outcome < mat.shape[1]:
         raise ValueError("outcome index outside basis")

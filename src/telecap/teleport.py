@@ -21,8 +21,8 @@ all 4**k branches sit in an array no larger than the joint state.  Branch
 probabilities are the squared norms of its rows and fidelities their
 overlaps with the payload; exhaustive mode still reports all 4**k branches,
 and sample mode draws each round's outcome from the table's conditional
-probabilities.  bell_round and circuit_round replay a single round on a
-state and are not used by teleport_bell or teleport_circuit.
+probabilities.  bell_round and circuit_round read one round off the same
+table, built for a single pair of an arbitrary state.
 
 Outcome index conventions, per pair:
 
@@ -40,16 +40,12 @@ from functools import cached_property
 import numpy as np
 
 from .capacity import DEFAULT_EPS, AnalysisReport, analyze, bipartition_matrix
-from .linalg import schmidt_decompose
 from .states import (
     UNREACHABLE_PROBABILITY,
     ChannelState,
     PureState,
-    apply_unitary,
     basis_state,
     bell_state,
-    permute_qubits,
-    project_and_collapse,
     tensor,
 )
 
@@ -63,8 +59,6 @@ __all__ = [
     "circuit_round",
     "teleport_bell",
     "teleport_circuit",
-    "received_state",
-    "expansion_identity_defect",
 ]
 
 
@@ -186,37 +180,39 @@ def bell_round(state: PureState, message_qubit: int, alice_qubit: int,
     Returns (raw outcome, probability, state after correction); the state
     is None when the forced outcome is unreachable.
     """
-    return _round(state, (message_qubit, alice_qubit), bob_qubit,
-                  _PROTOCOLS["bell"], outcome, rng)
+    return _round(state, (message_qubit, alice_qubit, bob_qubit), "bell", outcome, rng)
 
 
 def circuit_round(state: PureState, message_qubit: int, alice_qubit: int,
                   bob_qubit: int, outcome: int | None = None, rng=None):
     """One circuit round: run the measurement circuit on (message, sender
     half), read both in the computational basis, correct the receiver."""
-    return _round(state, (message_qubit, alice_qubit), bob_qubit,
-                  _PROTOCOLS["circuit"], outcome, rng)
+    return _round(state, (message_qubit, alice_qubit, bob_qubit), "circuit", outcome, rng)
 
 
-def _round(state, targets, bob_qubit, protocol: _Protocol, outcome, rng):
-    if protocol.pre_unitary is not None:
-        state = apply_unitary(state, protocol.pre_unitary, targets)
+def _round(state: PureState, qubits, method: str, outcome, rng):
+    """A round on qubits = (message, sender half, receiver half), read off
+    that pair's branch table: row norms are the outcome probabilities, and
+    the chosen row, normalized, is the corrected rest of the state."""
+    triple = [int(q) for q in qubits]
+    n = state.n_qubits
+    if len(set(triple)) != 3 or min(triple) < 0 or max(triple) >= n:
+        raise ValueError("round qubits must be distinct and within the state")
+    table = _branch_table(state, [triple], _PROTOCOLS[method].pair_operator)
+    probs = np.einsum("rjs,rjs->r", table.conj(), table).real
     if outcome is None:
         if rng is None:
             raise ValueError("sampling a round needs an rng")
-        probs = np.array([
-            project_and_collapse(state, targets, protocol.basis, r)[0] for r in range(4)
-        ])
         outcome = int(rng.choice(4, p=probs / probs.sum()))
     elif outcome not in (0, 1, 2, 3):
         raise ValueError("raw outcome must be 0..3")
-    probability, collapsed = project_and_collapse(state, targets, protocol.basis, outcome)
-    if collapsed is None:
+    probability = float(probs[outcome])
+    if probability < UNREACHABLE_PROBABILITY:
         return outcome, probability, None
-    corrected = apply_unitary(
-        collapsed, correction_operator(protocol.corrections[outcome]), [bob_qubit]
-    )
-    return outcome, probability, corrected
+    row = table[outcome] / np.sqrt(probability)
+    psi = np.multiply.outer(_PROTOCOLS[method].basis[outcome].amplitudes, row).reshape((2,) * n)
+    rest = [q for q in range(n) if q not in triple]
+    return outcome, probability, PureState(psi.transpose(np.argsort(triple + rest)).reshape(-1))
 
 
 def _prepare(channel: ChannelState, payload: PureState, report: AnalysisReport):
@@ -265,22 +261,6 @@ def _branch_table(joint: PureState, triples, pair_operator: np.ndarray) -> np.nd
         psi = np.moveaxis(np.tensordot(pair_operator, psi, axes=((2, 3), (t, k + t))),
                           (0, 1), (t, k + t))
     return psi.reshape(1 << (2 * k), 1 << k, -1)
-
-
-def received_state(state: PureState, qubits) -> tuple[PureState, float]:
-    """Dominant factor on the given qubits and its Schmidt weight.
-
-    The weight is 1 exactly when those qubits are unentangled with the
-    rest; the factor's phase follows the package-wide first-component
-    convention.
-    """
-    qubits = [int(q) for q in qubits]
-    n = state.n_qubits
-    rest = [q for q in range(n) if q not in set(qubits)]
-    psi = state.amplitudes.reshape((2,) * n)
-    psi = np.transpose(psi, qubits + rest).reshape(-1)
-    s, u, _ = schmidt_decompose(psi, 1 << len(qubits), 1 << len(rest))
-    return PureState(u[:, 0] / np.linalg.norm(u[:, 0])), float(s[0] ** 2)
 
 
 def _sampled_indices(probabilities: np.ndarray, k: int, seed, trials: int) -> np.ndarray:
@@ -359,22 +339,3 @@ def teleport_circuit(channel: ChannelState, payload: PureState,
     """
     return _teleport(channel, payload, report, "circuit", mode, seed, trials, eps)
 
-
-def expansion_identity_defect(psi: PureState) -> float:
-    """Max-norm defect of the singlet expansion identity.
-
-    With qubit 0 of psi as the message leg and a fresh singlet on (a, b),
-    the product psi (x) singlet_ab must equal
-    -1/2 sum_i bell_i on (message, a) (x) correction_i applied to the
-    message leg now living on b.  Returns the largest amplitude deviation;
-    exact arithmetic gives 0.
-    """
-    n = psi.n_qubits
-    lhs = tensor([psi, bell_state(1)])
-    acc = np.zeros_like(lhs.amplitudes)
-    order = (0, *range(3, n + 2), 1, 2)
-    for i in (1, 2, 3, 4):
-        chi = apply_unitary(psi, correction_operator(i), [0])
-        piece = permute_qubits(tensor([bell_state(i), chi]), order)
-        acc = acc + piece.amplitudes
-    return float(np.max(np.abs(lhs.amplitudes + 0.5 * acc)))

@@ -204,6 +204,37 @@ def _act(psi: np.ndarray, op: np.ndarray, targets, n: int) -> np.ndarray:
     return t.transpose(np.argsort(order)).reshape(-1)
 
 
+def dominant_factor(state: PureState, qubits) -> tuple[PureState, float]:
+    """Leading Schmidt vector on the listed qubits and its weight, from an
+    SVD of the (listed x rest) amplitude matrix; the weight is 1 exactly
+    when those qubits are unentangled with the rest."""
+    n = state.n_qubits
+    qubits = list(qubits)
+    order = qubits + [q for q in range(n) if q not in qubits]
+    mat = state.amplitudes.reshape((2,) * n).transpose(order).reshape(1 << len(qubits), -1)
+    u, s, _ = np.linalg.svd(mat)
+    return PureState(u[:, 0] / np.linalg.norm(u[:, 0])), float(s[0] ** 2)
+
+
+def expansion_identity_defect(psi: PureState) -> float:
+    """Max-norm defect of the singlet expansion identity.
+
+    With qubit 0 of psi as the message leg and a fresh singlet on (a, b),
+    the product psi (x) singlet_ab must equal
+    -1/2 sum_i bell_i on (message, a) (x) correction_i applied to the
+    message leg now living on b.  Returns the largest amplitude deviation;
+    exact arithmetic gives 0.
+    """
+    n = psi.n_qubits
+    lhs = np.kron(psi.amplitudes, _BELL_VECTORS[0])
+    acc = np.zeros_like(lhs)
+    order = (0, *range(3, n + 2), 1, 2)
+    for bell, fix in zip(_BELL_VECTORS, _FIXES):
+        chi = _act(psi.amplitudes, fix, [0], n)
+        acc = acc + np.kron(bell, chi).reshape((2,) * (n + 2)).transpose(order).reshape(-1)
+    return float(np.max(np.abs(lhs + 0.5 * acc)))
+
+
 def sequential_teleport(channel: ChannelState, payload: np.ndarray, report, method: str,
                         zero: float = 1e-12):
     """Every branch of a protocol run, replayed one round at a time.

@@ -36,7 +36,7 @@ import time
 import numpy as np
 import pytest
 
-from oracle import spectral_capacity
+from oracle import expansion_identity_defect, spectral_capacity
 from telecap.capacity import (
     analyze,
     entanglement_entropy,
@@ -48,7 +48,7 @@ from telecap.cli import load_state_file, main, save_state_file
 from telecap.corpus import generate_planted, ghz_channel, n_bell_channel, random_channel
 from telecap.linalg import cluster_spectrum, hermitian_eig
 from telecap.states import ChannelState, apply_unitary, fidelity, ghz_state, random_pure_state
-from telecap.teleport import expansion_identity_defect, teleport_bell, teleport_circuit
+from telecap.teleport import teleport_bell, teleport_circuit
 
 
 def _stamp(k: int, message: str, t0: float, budget: float | None = None):

@@ -219,8 +219,9 @@ class TestCertify:
         top = min(min(two_adic_division(k) for _, k in want), m, n)
         for d in range(min(m, n) + 2):
             clusters, holds = certify(ch, d, eps)
-            assert clusters.multiplicities() == [k for _, k in want]
-            assert np.max(np.abs(np.subtract(clusters.values(), [v for v, _ in want]))) < 1e-12
+            assert [c.multiplicity for c in clusters.clusters] == [k for _, k in want]
+            values = [c.value for c in clusters.clusters]
+            assert np.max(np.abs(np.subtract(values, [v for v, _ in want]))) < 1e-12
             assert holds is (True if d <= top else None)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracle import state_file_json
-from telecap import capacity
+from telecap import capacity, cli
 from telecap.capacity import analyze
 from telecap.cli import (
     _REPORT_BYTES_PER_ENTRY,
@@ -95,15 +95,28 @@ class TestAnalyzeCommand:
     def test_report_refused_above_budget(self, run, tmp_path, monkeypatch):
         path, report = tmp_path / "c.json", tmp_path / "report.json"
         assert run("generate", 6, 1, 1, "--seed", 3, "-o", path)[0] == EXIT_OK
-        # 4**6 + 4**1 entries at _REPORT_BYTES_PER_ENTRY: about 2.2 MiB
-        monkeypatch.setattr(capacity, "DENSE_BUDGET_BYTES", 1 << 20)
+        # 4**6 + 4**1 entries at _REPORT_BYTES_PER_ENTRY: about 0.9 MiB
+        monkeypatch.setattr(capacity, "DENSE_BUDGET_BYTES", 1 << 19)
         code, out, err = run("analyze", path, "--report", report)
         assert code == EXIT_INFEASIBLE and "capacity=1" in out
-        assert err == "error: the --report document needs 2 MiB, above the 1 MiB budget\n"
+        assert err == "error: the --report document needs 1 MiB, above the 0 MiB budget\n"
         assert not report.exists()
         monkeypatch.setattr(capacity, "DENSE_BUDGET_BYTES", 3 << 20)
         assert run("analyze", path, "--report", report)[0] == EXIT_OK
         assert len(json.loads(report.read_text())["u_a"]) == 64
+
+    def test_report_out_of_memory_leaves_no_file(self, run, bell_file, tmp_path, monkeypatch):
+        report = tmp_path / "report.json"
+
+        def exhausted(doc):
+            raise MemoryError
+
+        # the writer lays the document out before it opens the file
+        monkeypatch.setattr(cli, "dump_document", exhausted)
+        code, out, err = run("analyze", bell_file, "--report", report)
+        assert code == EXIT_INFEASIBLE and "capacity=1" in out
+        assert err == "error: out of memory\n"
+        assert not report.exists()
 
     def test_report_estimate_bounds_its_peak(self, tmp_path):
         rep = analyze(generate_planted(6, 1, 1, seed=3).channel)

@@ -39,23 +39,23 @@ class TestHermitianEig:
 class TestClusterSpectrum:
     def test_hand_case(self):
         s = linalg.cluster_spectrum([0.5, 0.5, 0.25, 0.25], eps=1e-9)
-        assert s.multiplicities() == [2, 2]
-        assert s.values() == [0.5, 0.25]
-        assert s.dimension == 4
+        assert [c.multiplicity for c in s.clusters] == [2, 2]
+        assert [c.value for c in s.clusters] == [0.5, 0.25]
+        assert sum(c.multiplicity for c in s.clusters) == 4
 
     def test_eps_boundary(self):
         w = [0.5, 0.5 - 1e-10, 0.25]
         s = linalg.cluster_spectrum(w, eps=1e-9)
-        assert s.multiplicities() == [2, 1]
+        assert [c.multiplicity for c in s.clusters] == [2, 1]
         s = linalg.cluster_spectrum(w, eps=1e-11)
-        assert s.multiplicities() == [1, 1, 1]
+        assert [c.multiplicity for c in s.clusters] == [1, 1, 1]
 
     def test_chained_drift_splits_on_anchor(self):
         # each neighbour is within eps of the last, but only membership
         # against the anchor counts
         w = [0.5, 0.5 - 0.8e-9, 0.5 - 1.6e-9]
         s = linalg.cluster_spectrum(w, eps=1e-9)
-        assert s.multiplicities() == [2, 1]
+        assert [c.multiplicity for c in s.clusters] == [2, 1]
 
     def test_carries_eigenvector_slices(self):
         h = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
@@ -73,28 +73,11 @@ class TestClusterSpectrum:
     def test_multiplicities_cover_dimension(self, values, eps):
         w = np.sort(np.asarray(values))[::-1]
         s = linalg.cluster_spectrum(w, eps)
-        assert s.dimension == w.size
+        assert sum(c.multiplicity for c in s.clusters) == w.size
         assert all(c.multiplicity >= 1 for c in s.clusters)
         # consecutive anchors must be separated by more than eps
-        anchors = s.values()
+        anchors = [c.value for c in s.clusters]
         assert all(a - b > eps for a, b in zip(anchors, anchors[1:]))
-
-
-class TestSchmidt:
-    def test_reconstructs(self):
-        rng = np.random.default_rng(21)
-        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        v /= np.linalg.norm(v)
-        s, ua, ub = linalg.schmidt_decompose(v, 2, 4)
-        rebuilt = sum(s[k] * np.kron(ua[:, k], ub[:, k]) for k in range(s.size))
-        assert np.max(np.abs(rebuilt - v)) < 1e-12
-        assert np.all(np.diff(s) <= 1e-12)
-        assert np.max(np.abs(ua.conj().T @ ua - np.eye(2))) < 1e-12
-
-    def test_product_state_single_coefficient(self):
-        v = np.kron([1, 0], [0, 1]).astype(complex)
-        s, _, _ = linalg.schmidt_decompose(v, 2, 2)
-        assert abs(s[0] - 1.0) < 1e-12 and abs(s[1]) < 1e-12
 
 
 class TestGuards:

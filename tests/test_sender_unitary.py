@@ -133,10 +133,17 @@ def test_frame_rejects_dependent_columns():
         capacity._completed_frame(np.eye(2, 3, dtype=complex))
 
 
-def test_public_u_a_matches_analyze():
+def test_public_u_a_matches_analyze(monkeypatch):
     channel = generate_planted(4, 3, 2, seed=77).channel
     rep = analyze(channel)
+    calls = []
+    for name in ("reduced_density", "_transformed"):
+        fn = getattr(capacity, name)
+        monkeypatch.setattr(capacity, name,
+                            lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
     assert np.array_equal(synthesize_u_a(channel, rep.u_b, 2), rep.u_a)
+    # the certificate and the target columns share one rho_B and one transform
+    assert calls == ["reduced_density", "_transformed"]
 
 
 def test_u_b_needs_cluster_eigenvectors():

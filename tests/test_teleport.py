@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import dominant_factor, expansion_identity_defect
 from telecap import linalg, teleport
 from telecap.capacity import analyze
 from telecap.corpus import generate_planted, ghz_channel, n_bell_channel
 from telecap.states import (
+    apply_unitary,
     basis_state,
     bell_state,
     fidelity,
+    project_and_collapse,
     random_pure_state,
     tensor,
 )
@@ -21,8 +24,6 @@ from telecap.teleport import (
     circuit_round,
     circuit_unitary,
     correction_operator,
-    expansion_identity_defect,
-    received_state,
     teleport_bell,
     teleport_circuit,
 )
@@ -84,7 +85,7 @@ class TestRounds:
         for raw in range(4):
             _, p, out = bell_round(joint, 0, 1, 2, outcome=raw)
             assert p == pytest.approx(0.25, abs=1e-12)
-            got, _ = received_state(out, [2])
+            got, _ = dominant_factor(out, [2])
             assert fidelity(got, random_pure_state(1, 3)) > 1 - 1e-12
 
     def test_unreachable_outcome_returns_none(self):
@@ -104,9 +105,75 @@ class TestRounds:
             _, pb, outb = bell_round(joint, 0, 1, 2, outcome=3 - raw)
             _, pc, outc = circuit_round(joint, 0, 1, 2, outcome=raw)
             assert pb == pytest.approx(pc, abs=1e-12)
-            sb, _ = received_state(outb, [2])
-            sc, _ = received_state(outc, [2])
+            sb, _ = dominant_factor(outb, [2])
+            sc, _ = dominant_factor(outc, [2])
             assert fidelity(sb, sc) > 1 - 1e-12
+
+
+# (pre-measurement unitary, measured basis, correction per raw outcome)
+_REFERENCE = {
+    "bell": (None, [bell_state(i) for i in (1, 2, 3, 4)], (1, 2, 3, 4)),
+    "circuit": (circuit_unitary(), [basis_state(((r >> 1) & 1, r & 1)) for r in range(4)],
+                (4, 3, 2, 1)),
+}
+_ROUNDS = {"bell": bell_round, "circuit": circuit_round}
+
+
+def reference_round(state, message, alice, bob, method, outcome=None, rng=None):
+    """A round the long way: the measurement circuit (if any) through
+    apply_unitary, projective collapse onto the measured basis, then the
+    correction on the receiver half; a sampled outcome is drawn as the
+    rounds draw it, from the four collapse probabilities."""
+    pre, basis, fixes = _REFERENCE[method]
+    targets = [message, alice]
+    if pre is not None:
+        state = apply_unitary(state, pre, targets)
+    if outcome is None:
+        probs = np.array([project_and_collapse(state, targets, basis, r)[0] for r in range(4)])
+        outcome = int(rng.choice(4, p=probs / probs.sum()))
+    probability, collapsed = project_and_collapse(state, targets, basis, outcome)
+    if collapsed is not None:
+        collapsed = apply_unitary(collapsed, correction_operator(fixes[outcome]), [bob])
+    return outcome, probability, collapsed
+
+
+# (qubit count, (message, sender half, receiver half), state seed): targets
+# out of order and apart, with spectator qubits between and around them
+_ROUND_CASES = [(3, (2, 0, 1), 40), (4, (3, 0, 2), 41), (5, (4, 1, 3), 42),
+                (6, (5, 2, 0), 43), (6, (0, 4, 2), 44)]
+
+
+class TestRoundsMatchReference:
+    @pytest.mark.parametrize("method", ["bell", "circuit"])
+    @pytest.mark.parametrize("n, qubits, seed", _ROUND_CASES)
+    def test_every_forced_outcome(self, method, n, qubits, seed):
+        state = random_pure_state(n, seed)
+        for raw in range(4):
+            got = _ROUNDS[method](state, *qubits, outcome=raw)
+            want = reference_round(state, *qubits, method, outcome=raw)
+            assert got[0] == want[0] == raw
+            assert abs(got[1] - want[1]) < 1e-12
+            assert np.max(np.abs(got[2].amplitudes - want[2].amplitudes)) < 1e-12
+
+    @pytest.mark.parametrize("method", ["bell", "circuit"])
+    @pytest.mark.parametrize("n, qubits, seed", _ROUND_CASES)
+    def test_sampled_outcomes(self, method, n, qubits, seed):
+        state = random_pure_state(n, seed)
+        for draw in range(20):
+            got = _ROUNDS[method](state, *qubits, rng=np.random.default_rng(draw))
+            want = reference_round(state, *qubits, method, rng=np.random.default_rng(draw))
+            assert got[0] == want[0]
+            assert abs(got[1] - want[1]) < 1e-12
+
+    @pytest.mark.parametrize("method", ["bell", "circuit"])
+    @pytest.mark.parametrize("qubits", [(0, 0, 1), (0, 2, 2), (3, 1, 3), (-1, 1, 2),
+                                        (0, -1, 2), (0, 1, -4), (0, 1, 4), (4, 1, 2)])
+    def test_bad_qubits_rejected(self, method, qubits):
+        state = random_pure_state(4, 45)
+        with pytest.raises(ValueError, match="round qubits"):
+            _ROUNDS[method](state, *qubits, outcome=0)
+        with pytest.raises(ValueError, match="round qubits"):
+            _ROUNDS[method](state, *qubits, rng=np.random.default_rng(0))
 
 
 class TestTeleportBell:
@@ -169,7 +236,7 @@ class TestTeleportBell:
         payload = random_pure_state(1, 21)
         joint = tensor([payload, bell_state(1)])
         _, _, out = bell_round(joint, 0, 1, 2, outcome=2)
-        got, weight = received_state(out, [2])
+        got, weight = dominant_factor(out, [2])
         assert weight == pytest.approx(1.0, abs=1e-12)
         assert fidelity(got, payload) > 1 - 1e-12
 
