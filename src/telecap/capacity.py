@@ -20,7 +20,10 @@ Conventions fixed here and relied on by the teleport module:
   swapped).  Pair i uses the singlet (|01> - |10>)/sqrt(2).
 * The residual factor is the canonical purification of eta: spectral values
   descending, purifying labels running through the leftover ancilla qubits
-  of the purifying side in computational order.
+  of the purifying side in computational order.  When the residual after
+  u_b is diagonal to within ABSENT_WEIGHT, as after analyze's u_b, its
+  eigenbasis is the computational basis, equal values kept in
+  computational order; otherwise it comes from an eigendecomposition.
 """
 
 from __future__ import annotations
@@ -65,10 +68,11 @@ DENSE_BUDGET_BYTES = 3 << 30
 
 
 def _check_budget(nbytes: int, what: str) -> None:
-    """Refuse a request of nbytes above DENSE_BUDGET_BYTES, naming both."""
+    """Refuse a request of nbytes above DENSE_BUDGET_BYTES, naming both
+    exactly in bytes."""
     if nbytes > DENSE_BUDGET_BYTES:
-        raise ValueError(f"{what} needs {nbytes / 2**20:,.0f} MiB, above the "
-                         f"{DENSE_BUDGET_BYTES / 2**20:,.0f} MiB budget")
+        raise ValueError(f"{what} needs {nbytes:,} bytes, above the "
+                         f"{DENSE_BUDGET_BYTES:,}-byte budget")
 
 
 class _Unitary:
@@ -315,14 +319,10 @@ def _certificate(channel: ChannelState, u_b, d: int, eps: float):
     return u_b, eta_hat, _factors(rho, eta_hat, d, eps)
 
 
-def _bell_sign(i: int, d: int) -> float:
-    # singlet component signs: + where Bob's bit is 1, - where it is 0
-    return -1.0 if (d - bin(i).count("1")) % 2 else 1.0
-
-
-def _target_columns(eta_hat, m: int, n: int, d: int, bell_high: bool) -> np.ndarray:
+def _target_columns(eta_hat, m: int, n: int, d: int, bell_high: bool):
     """Sender-side vectors of the canonical state, one column per receiver
-    basis index (residual bits high, Bell bits low).
+    basis index (residual bits high, Bell bits low), and where each column
+    is nonzero.
 
     With mu, basis the descending eigensystem of the post-u_b residual
     density eta_hat, column (j', i) of the canonical state
@@ -330,29 +330,45 @@ def _target_columns(eta_hat, m: int, n: int, d: int, bell_high: bool) -> np.ndar
     sqrt(mu_j) basis[j', j] |a(i, j)>, where the sender index a(i, j) packs
     the complemented Bell bits next to the purifying label j: Bell bits high
     when the sender keeps her Bell halves on her leading qubits (bell_high),
-    low otherwise.
+    low otherwise; sign(i) is - when d minus the popcount of i is odd.
+
+    When no off-diagonal entry of eta_hat exceeds ABSENT_WEIGHT, as after
+    analyze's u_b (the eigenbasis of the receiver's density), the
+    eigensystem is read off the diagonal: mu is eta_hat's diagonal in
+    stable descending order and basis the matching computational basis
+    vectors, so no second eigendecomposition runs.  Every column then has
+    at most one nonzero entry, and the second return value gives its row
+    (-1 for a zero column); otherwise it is None.
     """
-    mu, basis = hermitian_eig((eta_hat + eta_hat.conj().T) / 2)
-    mu = np.clip(mu, 0.0, None)
-    dim_a, dim_b = 1 << m, 1 << n
+    off = np.abs(eta_hat)
+    np.fill_diagonal(off, 0.0)
+    diagonal = bool(np.max(off) <= ABSENT_WEIGHT)
+    if diagonal:
+        mu = np.diagonal(eta_hat).real
+        order = np.argsort(-mu, kind="stable")
+        mu, basis = mu[order], np.eye(mu.size)[:, order]
+    else:
+        mu, basis = hermitian_eig((eta_hat + eta_hat.conj().T) / 2)
+    labels = np.flatnonzero(np.clip(mu, 0.0, None) > ZERO_EIGENVALUE)
     da_res = 1 << (m - d)
-    cols = np.zeros((dim_a, dim_b), dtype=complex)
-    mask = (1 << d) - 1
-    scale = 2.0 ** (-d / 2.0)
-    dr = 1 << (n - d)
-    col_idx = np.arange(dr) << d
-    for j in range(mu.size):
-        w = mu[j]
-        if w <= ZERO_EIGENVALUE:
-            continue
-        if j >= da_res:
-            raise ArithmeticError("residual rank exceeds the sender's ancilla space")
-        amp = np.sqrt(w) * scale
-        for i in range(1 << d):
-            a_bell = (~i) & mask
-            a_idx = a_bell * da_res + j if bell_high else (j << d) + a_bell
-            cols[a_idx, col_idx + i] += _bell_sign(i, d) * amp * basis[:, j]
-    return cols
+    if labels.size and labels[-1] >= da_res:
+        raise ArithmeticError("residual rank exceeds the sender's ancilla space")
+    du, dr = 1 << d, 1 << (n - d)
+    bits = np.arange(du)
+    signs = np.array([(-1.0) ** (d - bin(i).count("1")) for i in range(du)])
+    a_bell = ~bits & (du - 1)
+    lab = labels[:, None]
+    rows = a_bell * da_res + lab if bell_high else (lab << d) + a_bell  # a(i, j)
+    coef = signs * (np.sqrt(mu[labels]) * 2.0 ** (-d / 2.0))[:, None]
+    cols = np.zeros((1 << m, dr, du), dtype=complex)  # receiver index split (j', i)
+    # += so that a zero of basis times a negative coefficient stays +0.0
+    cols.transpose(0, 2, 1)[rows, bits] += coef[:, :, None] * basis[:, labels].T[:, None, :]
+    cols = cols.reshape(1 << m, 1 << n)
+    if not diagonal:
+        return cols, None
+    nonzero = np.full((dr, du), -1)
+    nonzero[order[labels][:, None], bits] = rows  # column j of basis is e_{order[j]}
+    return cols, nonzero.reshape(-1)
 
 
 def _completed_frame(cols: np.ndarray) -> np.ndarray:
@@ -386,7 +402,9 @@ def synthesize_u_a(channel: ChannelState, u_b, d: int, eps: float = DEFAULT_EPS)
     Zero-weight indices never occur in the state.
 
     When 2r is at least the sender's dimension 2**m, u_a = Q_t Q_s† from
-    complete QRs of the kept columns S and T, checked densely to 1e-9.
+    complete QRs of the kept columns S and T, checked densely to 1e-9; when
+    the residual is diagonal, T has one nonzero entry per column and Q_t is
+    a phased permutation, so u_a is Q_s† with its rows moved and rephased.
     Otherwise W, the reduced Householder QR factor of [S | T], spans both
     sets of columns with 2r orthonormal columns, and the same frames are
     built for the projections W†S and W†T, giving a 2r x 2r unitary C.
@@ -406,13 +424,43 @@ def synthesize_u_a(channel: ChannelState, u_b, d: int, eps: float = DEFAULT_EPS)
     u_b, eta_hat, holds = _certificate(channel, u_b, d, eps)
     if not holds:
         raise ValueError("factorization condition fails at this d")
-    targets = _target_columns(eta_hat, len(channel.alice), len(channel.bob), d, bell_high=True)
-    u_a, factors = _sender_unitary(channel, u_b, targets)
+    targets, rows = _target_columns(eta_hat, len(channel.alice), len(channel.bob), d,
+                                    bell_high=True)
+    u_a, factors = _sender_unitary(channel, u_b, targets, rows)
     return _assemble(*factors) if u_a is None else u_a
 
 
-def _sender_unitary(channel: ChannelState, u_b: np.ndarray, targets: np.ndarray):
-    """synthesize_u_a's construction for given target columns.
+def _permuted_frame(q_s: np.ndarray, targets: np.ndarray, rows: np.ndarray,
+                    keep: np.ndarray) -> np.ndarray:
+    """Q_t Q_s† for kept target columns with one nonzero entry each, in the
+    given rows, without forming Q_t.
+
+    Such columns are orthogonal, so their ordered Gram-Schmidt frame is
+    their own unit vectors times the entries' phases; completing it by the
+    unused unit vectors in computational order makes Q_t a phased
+    permutation, and Q_t Q_s† is Q_s† with its rows moved and rephased.
+    An entry at or below the acceptance threshold is a rank deficiency,
+    as for _completed_frame.  q_s is rephased in place.
+    """
+    rows = rows[keep]
+    entries = targets[rows, keep]  # a row of -1 (a zero column) is refused below
+    if np.any(rows < 0) or np.any(np.abs(entries) <= _GS_ACCEPT):
+        raise ArithmeticError("relative-vector frame is rank deficient")
+    unused = np.ones(q_s.shape[0], dtype=bool)
+    unused[rows] = False
+    q_s[:, :rows.size] *= (entries / np.abs(entries)).conj()
+    # Q_t's column l is the unit vector at order[l], so u_a's row order[l]
+    # is Q_s†'s row l; argsort(order) inverts the permutation
+    order = np.concatenate([rows, np.flatnonzero(unused)])
+    u_a = q_s.T[np.argsort(order)]
+    return np.conjugate(u_a, out=u_a)
+
+
+def _sender_unitary(channel: ChannelState, u_b: np.ndarray, targets: np.ndarray,
+                    rows: np.ndarray | None):
+    """synthesize_u_a's construction for given target columns; rows, when
+    not None, is where each target column has its one nonzero entry, as
+    _target_columns returns it.
 
     Returns (u_a, None) when u_a was built densely, and (None, (W, C - I)),
     both factors read-only, when u_a = I + W (C - I) W†; the dense matrix
@@ -421,12 +469,16 @@ def _sender_unitary(channel: ChannelState, u_b: np.ndarray, targets: np.ndarray)
     source = bipartition_matrix(channel) @ u_b.T
     weights = np.einsum("ak,ak->k", source.conj(), source).real
     keep = np.flatnonzero(weights > ZERO_EIGENVALUE)
-    s, t = source[:, keep], targets[:, keep]
+    s = source[:, keep]
     if 2 * keep.size >= s.shape[0]:
-        u_a = _completed_frame(t) @ _completed_frame(s).conj().T
+        if rows is None:
+            u_a = _completed_frame(targets[:, keep]) @ _completed_frame(s).conj().T
+        else:
+            u_a = _permuted_frame(_completed_frame(s), targets, rows, keep)
         if not linalg.is_unitary(u_a):
             raise ArithmeticError("synthesized sender unitary failed the unitarity check")
         return u_a, None
+    t = targets[:, keep]
     w, _ = np.linalg.qr(np.concatenate([s, t], axis=1))
     wh = w.conj().T
     c = _completed_frame(wh @ t) @ _completed_frame(wh @ s).conj().T
@@ -477,8 +529,8 @@ def analyze(channel: ChannelState, eps: float = DEFAULT_EPS) -> AnalysisReport:
     w, clusters, d, (u_struct, eta, eta_hat, holds) = _structural(oriented, eps)
     if not holds:
         raise ArithmeticError("factorization condition failed after synthesis")
-    targets = _target_columns(eta_hat, m, n, d, bell_high=not swapped)
-    u_purif, factors = _sender_unitary(oriented, u_struct, targets)
+    targets, rows = _target_columns(eta_hat, m, n, d, bell_high=not swapped)
+    u_purif, factors = _sender_unitary(oriented, u_struct, targets, rows)
     if u_purif is not None:
         _read_only(u_purif)  # so the report adopts it instead of copying it
 
@@ -537,7 +589,7 @@ def canonical_state(channel: ChannelState, report: AnalysisReport) -> PureState:
     d = report.capacity
     m, n = len(oriented.alice), len(oriented.bob)
     _, eta_hat = _transformed(reduced_density(oriented, "bob"), u_struct, d)
-    cols = _target_columns(eta_hat, m, n, d, bell_high=not report.swapped)
+    cols, _ = _target_columns(eta_hat, m, n, d, bell_high=not report.swapped)
     cols = cols / np.linalg.norm(cols)
     psi = cols.reshape((2,) * (m + n))
     psi = np.transpose(psi, np.argsort(oriented.alice + oriented.bob))

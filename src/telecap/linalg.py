@@ -68,11 +68,12 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(h)
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
-    for k in range(v.shape[1]):
-        idx = np.flatnonzero(np.abs(v[:, k]) > _PHASE_TOL)
-        if idx.size:
-            ph = v[idx[0], k]
-            v[:, k] *= ph.conjugate() / abs(ph)
+    # eigh's columns are unit vectors, so each has a component above 1e-12
+    first = np.argmax(np.abs(v) > _PHASE_TOL, axis=0)
+    ph = v[first, np.arange(v.shape[1])]
+    # hypot, as abs() of a scalar computes it; np.abs of a complex array
+    # may differ from it in the last bit
+    v *= ph.conj() / np.hypot(ph.real, ph.imag)
     return w, v
 
 

@@ -84,6 +84,22 @@ def haar_unitary_square_qr(dim: int, seed) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def phase_fixed_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's eigh with eigenvalues descending, each eigenvector column
+    then scanned entry by entry and rotated so its first component above
+    1e-12 in magnitude is real positive."""
+    w, v = np.linalg.eigh(h)
+    w = w[::-1].copy()
+    v = v[:, ::-1].copy()
+    for k in range(v.shape[1]):
+        for j in range(v.shape[0]):
+            if abs(v[j, k]) > 1e-12:
+                ph = v[j, k]
+                v[:, k] *= ph.conjugate() / abs(ph)
+                break
+    return w, v
+
+
 def two_adic_division(k: int) -> int:
     """Largest j with 2**j dividing k, by repeated division."""
     j = 0
@@ -181,6 +197,31 @@ def gram_schmidt_unitary(source: np.ndarray, targets: np.ndarray,
         return q
 
     return frame(targets) @ frame(source).conj().T
+
+
+def canonical_target_columns(eta: np.ndarray, m: int, n: int, d: int) -> np.ndarray:
+    """Sender vector of each receiver basis index in the canonical state
+    with the sender's Bell halves on her leading d qubits and the
+    receiver's on his trailing d: d singlets (|01> - |10>)/sqrt2 times the
+    purification sum_j sqrt(mu_j) |j> (x) |e_j> of eta, where mu, e_j is
+    eta's descending eigensystem from phase_fixed_eigh and the purifying
+    label j runs through the sender's remaining qubits."""
+    mu, basis = phase_fixed_eigh((eta + eta.conj().T) / 2)
+    cols = np.zeros((1 << m, 1 << n), dtype=complex)
+    for j in range(mu.size):
+        if mu[j] <= 1e-12:
+            continue
+        for bob_bits in range(1 << d):
+            amp = np.sqrt(mu[j]) / np.sqrt(2.0 ** d)
+            alice_bits = 0
+            for t in range(d):  # pair t: sender qubit t, receiver slot n - d + t
+                bob_bit = bob_bits >> (d - 1 - t) & 1
+                alice_bits |= (1 - bob_bit) << (d - 1 - t)
+                amp = amp if bob_bit else -amp
+            a = (alice_bits << (m - d)) | j
+            for r in range(1 << (n - d)):
+                cols[a, (r << d) | bob_bits] += amp * basis[r, j]
+    return cols
 
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)

@@ -99,7 +99,7 @@ class TestAnalyzeCommand:
         monkeypatch.setattr(capacity, "DENSE_BUDGET_BYTES", 1 << 19)
         code, out, err = run("analyze", path, "--report", report)
         assert code == EXIT_INFEASIBLE and "capacity=1" in out
-        assert err == "error: the --report document needs 1 MiB, above the 0 MiB budget\n"
+        assert err == "error: the --report document needs 984,000 bytes, above the 524,288-byte budget\n"
         assert not report.exists()
         monkeypatch.setattr(capacity, "DENSE_BUDGET_BYTES", 3 << 20)
         assert run("analyze", path, "--report", report)[0] == EXIT_OK

@@ -159,10 +159,19 @@ def test_dense_purifier_refused_above_budget(monkeypatch):
     monkeypatch.setattr(capacity, "DENSE_BUDGET_BYTES", 1 << 20)
     assert teleport_bell(channel, random_pure_state(1, seed=9), rep).min_fidelity >= 1 - 1e-9
     for read in (lambda: rep.u_a, lambda: synthesize_u_a(channel, rep.u_b, 1)):
-        with pytest.raises(ValueError, match="purifier needs 4 MiB, above the 1 MiB budget"):
+        with pytest.raises(ValueError, match="purifier needs 4,194,304 bytes, above the 1,048,576-byte budget"):
             read()
     monkeypatch.setattr(capacity, "DENSE_BUDGET_BYTES", 4 << 20)
     assert rep.u_a.shape == (512, 512)
+
+
+def test_refusal_never_reads_as_within_budget():
+    # one byte over the 3 GiB budget must not read as at it
+    with pytest.raises(ValueError) as refused:
+        capacity._check_budget((3 << 30) + 1, "x")
+    assert str(refused.value) == ("x needs 3,221,225,473 bytes, "
+                                  "above the 3,221,225,472-byte budget")
+    capacity._check_budget(3 << 30, "x")  # at the budget itself nothing is refused
 
 
 def test_report_adopts_frozen_arrays_and_copies_others():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import phase_fixed_eigh
 from telecap import linalg
 
 
@@ -34,6 +35,31 @@ class TestHermitianEig:
         w1, v1 = linalg.hermitian_eig(h)
         w2, v2 = linalg.hermitian_eig(h.copy())
         assert np.array_equal(w1, w2) and np.array_equal(v1, v2)
+
+    @pytest.mark.parametrize("dim,seed", [(2, 1), (3, 2), (5, 3), (16, 4), (64, 5), (256, 6)])
+    def test_matches_loop_oracle(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        self.assert_matches_oracle(a + a.conj().T)
+
+    def test_matches_loop_oracle_with_zero_leading_components(self):
+        # block diagonal: the second block's eigenvectors are exactly zero on
+        # the first block's coordinates, and the diagonal part's are unit vectors
+        h = np.zeros((8, 8), dtype=complex)
+        h[:3, :3] = random_density(2, 21)[:3, :3]
+        h[3:, 3:] = np.diag([0.5, -1.0, 2.0, 0.25, 3.0])
+        self.assert_matches_oracle(h)
+
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_matches_loop_oracle_on_degenerate_blocks(self, seed):
+        # every eigenvalue four times over, as in a factored receiver density
+        self.assert_matches_oracle(np.kron(random_density(3, seed), np.eye(4)))
+
+    @staticmethod
+    def assert_matches_oracle(h):
+        w, v = linalg.hermitian_eig(h)
+        w_ref, v_ref = phase_fixed_eigh(h)
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
 
 
 class TestClusterSpectrum:

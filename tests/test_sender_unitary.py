@@ -1,10 +1,12 @@
 """The QR-built sender unitary against the Gram-Schmidt oracle, and the
 one-pass analysis that feeds it."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from oracle import gram_schmidt_unitary
+from oracle import canonical_target_columns, gram_schmidt_unitary, partial_trace_loops
 from telecap import capacity, linalg
 from telecap.capacity import (
     analyze,
@@ -168,5 +170,69 @@ def test_analyze_decomposes_once(monkeypatch, m, n, d):
     for name in calls:
         monkeypatch.setattr(capacity, name, counted(name))
     analyze(generate_planted(m, n, d, seed=5).channel)
-    # rho_B is formed once; one eigh of rho_B, one of the residual density
-    assert calls == {"reduced_density": 1, "hermitian_eig": 2}
+    # rho_B is formed once and decomposed once; the residual after u_b is
+    # diagonal, so its eigensystem is read off without a second eigh
+    assert calls == {"reduced_density": 1, "hermitian_eig": 1}
+
+
+@pytest.mark.parametrize("m,n,d", [(3, 3, 0), (4, 4, 2)])
+def test_dense_analysis_runs_one_qr(monkeypatch, m, n, d):
+    channel = generate_planted(m, n, d, seed=9).channel
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+    rep = analyze(channel)
+    assert rep._purifier_factors is None  # the dense sender unitary
+    # the source frame's complete QR; the target frame is a phased permutation
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("m,n,d", [(3, 3, 1), (4, 4, 2), (4, 2, 1), (5, 2, 1), (3, 2, 0)])
+def test_rotated_residual_basis(monkeypatch, m, n, d):
+    """A receiver unitary rotated on the residual, (R (x) I) u_b, still
+    factors the density, but leaves a non-diagonal residual: its
+    eigensystem comes from an eigh, and u_a must still carry the support
+    onto the canonical targets of that residual."""
+    channel = generate_planted(m, n, d, seed=40 + 8 * m + n).channel
+    rep = analyze(channel)
+    dr = 1 << (n - d)
+    rng = np.random.default_rng(m + n + d)
+    rot, _ = np.linalg.qr(rng.standard_normal((dr, dr)) + 1j * rng.standard_normal((dr, dr)))
+    u_b = np.kron(rot, np.eye(1 << d)) @ rep.u_b
+    assert verify_condition(channel, u_b, d)
+    eigs = []
+    monkeypatch.setattr(capacity, "hermitian_eig",
+                        lambda h, _eig=hermitian_eig: eigs.append(1) or _eig(h))
+    u_a = synthesize_u_a(channel, u_b, d)
+    assert len(eigs) == 1  # the residual's eigensystem, not read off its diagonal
+
+    rho = u_b @ reduced_density(channel, "bob") @ u_b.conj().T
+    eta = partial_trace_loops(rho, n, range(n - d, n))
+    assert np.max(np.abs(eta - np.diag(np.diagonal(eta)))) > 1e-6
+    targets = canonical_target_columns(eta, m, n, d)
+    source = bipartition_matrix(channel) @ u_b.T
+    kept = np.einsum("ak,ak->k", source.conj(), source).real > 1e-12
+    support = source[:, kept]
+    assert np.max(np.abs(u_a @ support - targets[:, kept])) <= 1e-12
+    oracle = gram_schmidt_unitary(source, targets)
+    assert np.max(np.abs(u_a @ support - oracle @ support)) <= 1e-12
+    assert unitarity_defect(u_a) <= 1e-12
+
+    if d:
+        rotated = dataclasses.replace(rep, u_a=u_a, u_b=u_b)
+        res = teleport_bell(channel, random_pure_state(d, seed=d), rotated)
+        assert res.min_fidelity >= 1 - 1e-9
+
+
+def test_permuted_frame_rejects_missing_targets():
+    q_s = np.eye(4, dtype=complex)
+    targets = np.zeros((4, 2), dtype=complex)
+    targets[2, 0], targets[0, 1] = -0.5, 1e-8
+    keep = np.arange(2)
+    with pytest.raises(ArithmeticError, match="rank deficient"):
+        capacity._permuted_frame(q_s, targets, np.array([2, 0]), keep)
+    targets[0, 1] = 0.5
+    with pytest.raises(ArithmeticError, match="rank deficient"):
+        capacity._permuted_frame(q_s, targets, np.array([2, -1]), keep)
+    u_a = capacity._permuted_frame(q_s, targets, np.array([2, 0]), keep)
+    assert np.array_equal(u_a, [[0, 1, 0, 0], [0, 0, 1, 0], [-1, 0, 0, 0], [0, 0, 0, 1]])
