@@ -4,7 +4,9 @@ Three families matter:
 
 * stacks of Bell pairs, the exactly canonical channels;
 * GHZ states under arbitrary bipartitions, the classic capacity-one family
-  whose canonicalizing unitaries are plain CNOT chains;
+  whose canonicalizing unitaries are plain CNOT chains, which permute
+  basis indices, so both chains come as one index permutation and never
+  as a dense operator;
 * planted channels: a Bell stack times a generic residual, scrambled by
   local Haar unitaries so nothing about the construction is visible in the
   amplitudes, while the capacity stays exactly the planted d.
@@ -40,7 +42,6 @@ from .states import (
 
 __all__ = [
     "haar_unitary",
-    "controlled_not",
     "n_bell_channel",
     "ghz_channel",
     "ghz_cnot_chain",
@@ -84,24 +85,6 @@ def _scramble_rows(mat: np.ndarray, seed) -> np.ndarray:
     return v @ r
 
 
-def controlled_not(num_qubits: int, control: int, target: int) -> np.ndarray:
-    """Full-register CNOT as a permutation matrix, big-endian bit positions."""
-    if not 0 <= control < num_qubits or not 0 <= target < num_qubits:
-        raise ValueError("control/target outside the register")
-    if control == target:
-        raise ValueError("control and target must differ")
-    if num_qubits > MAX_QUBITS:
-        raise ValueError(f"register capped at {MAX_QUBITS} qubits")
-    dim = 1 << num_qubits
-    cbit = 1 << (num_qubits - 1 - control)
-    tbit = 1 << (num_qubits - 1 - target)
-    u = np.zeros((dim, dim), dtype=complex)
-    src = np.arange(dim)
-    dst = np.where(src & cbit, src ^ tbit, src)
-    u[dst, src] = 1.0
-    return u
-
-
 def n_bell_channel(n: int, k: int = 1) -> ChannelState:
     """n Bell pairs; pair i joins sender qubit i to receiver qubit n + i."""
     if not 1 <= n <= MAX_QUBITS // 2:
@@ -119,23 +102,24 @@ def ghz_channel(n: int, m: int) -> ChannelState:
     return ChannelState(ghz_state(n), tuple(range(m)), tuple(range(m, n)))
 
 
-def ghz_cnot_chain(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Local CNOT chains carrying the m|n-m GHZ split to a Bell pair.
+def ghz_cnot_chain(n: int, m: int) -> np.ndarray:
+    """Local CNOT chains carrying the m|n-m GHZ split to a Bell pair, as
+    one basis-index permutation perm of length 2**n.
 
-    The sender fans out of her first qubit, the receiver out of his last;
-    together they leave (|00> + |11>)/sqrt(2) between global qubits 0 and
-    n-1 with |0> everywhere else.
+    The sender's CNOTs have control qubit 0 and targets 1..m-1; the
+    receiver's have control n-1 and targets m..n-2.  Together they leave
+    (|00> + |11>)/sqrt(2) between qubits 0 and n-1 with |0> everywhere
+    else.  Every CNOT in a chain shares a control that none of them
+    targets, so perm flips the target bits of x exactly when x's control
+    bit is set, perm[perm] is the identity (perm is an involution), and
+    the chained state is amplitudes[perm], at O(2**n) cost.
     """
-    if not 1 <= m < n:
-        raise ValueError("need 1 <= m < n")
-    u_a = np.eye(1 << m, dtype=complex)
-    for t in range(1, m):
-        u_a = controlled_not(m, 0, t) @ u_a
-    nb = n - m
-    u_b = np.eye(1 << nb, dtype=complex)
-    for t in range(nb - 1):
-        u_b = controlled_not(nb, nb - 1, t) @ u_b
-    return u_a, u_b
+    if not 1 <= m < n <= MAX_QUBITS:
+        raise ValueError(f"need 1 <= m < n <= {MAX_QUBITS}")
+    idx = np.arange(1 << n)
+    mask_a = (1 << (n - 1)) - (1 << (n - m))  # qubits 1..m-1
+    mask_b = (1 << (n - m)) - 2  # qubits m..n-2
+    return idx ^ ((idx >> (n - 1)) * mask_a) ^ ((idx & 1) * mask_b)
 
 
 def ghz_canonical_form(n: int) -> PureState:

@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 
-from telecap.states import ChannelState, PureState
+from telecap.states import MAX_QUBITS, ChannelState, PureState
 
 
 def partial_trace_loops(rho: np.ndarray, qubit_count: int, traced_out) -> np.ndarray:
@@ -59,6 +59,37 @@ def embed_operator(u: np.ndarray, targets, n: int) -> np.ndarray:
                 row |= (sub_out >> (k - 1 - pos) & 1) << (n - 1 - q)
             big[row, col] += u[sub_out, sub_in]
     return big
+
+
+def controlled_not(num_qubits: int, control: int, target: int) -> np.ndarray:
+    """Full-register CNOT as a permutation matrix, big-endian bit positions."""
+    if not 0 <= control < num_qubits or not 0 <= target < num_qubits:
+        raise ValueError("control/target outside the register")
+    if control == target:
+        raise ValueError("control and target must differ")
+    if num_qubits > MAX_QUBITS:
+        raise ValueError(f"register capped at {MAX_QUBITS} qubits")
+    dim = 1 << num_qubits
+    cbit = 1 << (num_qubits - 1 - control)
+    tbit = 1 << (num_qubits - 1 - target)
+    u = np.zeros((dim, dim), dtype=complex)
+    src = np.arange(dim)
+    dst = np.where(src & cbit, src ^ tbit, src)
+    u[dst, src] = 1.0
+    return u
+
+
+def ghz_cnot_chain_dense(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m|n-m GHZ split's two local CNOT chains as dense products: the
+    sender fans out of its first qubit, the receiver out of its last."""
+    u_a = np.eye(1 << m, dtype=complex)
+    for t in range(1, m):
+        u_a = controlled_not(m, 0, t) @ u_a
+    nb = n - m
+    u_b = np.eye(1 << nb, dtype=complex)
+    for t in range(nb - 1):
+        u_b = controlled_not(nb, nb - 1, t) @ u_b
+    return u_a, u_b
 
 
 def state_file_json(state: PureState, alice=None, bob=None) -> str:

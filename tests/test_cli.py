@@ -1,4 +1,9 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -173,8 +178,13 @@ class TestTeleportCommand:
         assert code == EXIT_OK and "capacity=2" in out
         assert "payload_qubits=1 " in out and "min_fidelity=1.000000000000" in out
 
-    def test_no_room_for_default_payload(self, run):
-        code, _, err = run("demo-ghz", 16, 8)
+    @pytest.mark.parametrize("qubits,split", [(16, 8), (16, 15), (16, 1)])
+    def test_no_room_for_default_payload(self, run, qubits, split):
+        # the CNOT-chain check and the analysis stay cheap at the cap in
+        # every split, so the refusal comes in well under a second
+        start = time.perf_counter()
+        code, _, err = run("demo-ghz", qubits, split)
+        assert time.perf_counter() - start < 1.0
         assert code == EXIT_INFEASIBLE
         assert err == "error: the channel fills the 16-qubit cap and leaves no room for a payload\n"
 
@@ -256,11 +266,14 @@ class TestGenerateCommand:
 
 class TestDemoGhz:
     def test_runs(self, run):
-        code, out, _ = run("demo-ghz", 5, 2)
-        assert code == EXIT_OK
-        assert "cnot_chain_reaches_bell=true" in out
-        assert "capacity=1" in out
-        assert "min_fidelity=1.000000000000" in out
+        for qubits, split in ((5, 2), (14, 13)):
+            start = time.perf_counter()
+            code, out, _ = run("demo-ghz", qubits, split)
+            assert time.perf_counter() - start < 1.0
+            assert code == EXIT_OK
+            assert "cnot_chain_reaches_bell=true" in out
+            assert "capacity=1" in out
+            assert "min_fidelity=1.000000000000" in out
 
     def test_bad_split(self, run):
         code, _, err = run("demo-ghz", 3, 3)
@@ -416,3 +429,21 @@ class TestArgumentHandling:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", bell_file])
         assert exc.value.code == 2
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+    @pytest.mark.parametrize("argv", [["demo-ghz", "4", "2"], ["generate", "8", "8", "1"]],
+                             ids=["demo-ghz", "generate"])
+    def test_closed_stdout_ends_by_sigpipe(self, argv):
+        # a closed pipe must not read as exit 1, a capacity shortfall
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        try:
+            proc = subprocess.run([sys.executable, "-m", "telecap", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == -signal.SIGPIPE

@@ -4,11 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracle import haar_unitary_square_qr, partial_trace_loops, spectral_capacity
+from oracle import (
+    controlled_not,
+    ghz_cnot_chain_dense,
+    haar_unitary_square_qr,
+    partial_trace_loops,
+    spectral_capacity,
+)
 from telecap import corpus
 from telecap.capacity import entanglement_entropy
 from telecap.corpus import (
-    controlled_not,
     generate_planted,
     ghz_canonical_form,
     ghz_channel,
@@ -18,7 +23,7 @@ from telecap.corpus import (
     random_channel,
 )
 from telecap.linalg import cluster_spectrum, is_unitary
-from telecap.states import ChannelState, apply_unitary, fidelity, random_pure_state
+from telecap.states import ChannelState, fidelity, random_pure_state
 
 S = 1.0 / np.sqrt(2.0)
 
@@ -116,14 +121,16 @@ class TestGhz:
         ch = ghz_channel(4, 1)
         assert ch.alice == (0,) and ch.bob == (1, 2, 3)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_cnot_chain_reaches_canonical_form(self, n):
+        identity = np.arange(1 << n)
         for m in range(1, n):
-            ch = ghz_channel(n, m)
-            u_a, u_b = ghz_cnot_chain(n, m)
-            out = apply_unitary(ch.state, u_a, range(m))
-            out = apply_unitary(out, u_b, range(m, n))
-            assert np.max(np.abs(out.amplitudes - ghz_canonical_form(n).amplitudes)) < 1e-12
+            perm = ghz_cnot_chain(n, m)
+            u_a, u_b = ghz_cnot_chain_dense(n, m)
+            assert np.array_equal(np.eye(1 << n)[perm], np.kron(u_a, u_b))
+            assert np.array_equal(perm[perm], identity)
+            out = ghz_channel(n, m).state.amplitudes[perm]
+            assert np.max(np.abs(out - ghz_canonical_form(n).amplitudes)) < 1e-12
 
     def test_canonical_form_amplitudes(self):
         v = ghz_canonical_form(4).amplitudes
