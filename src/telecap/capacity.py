@@ -34,7 +34,14 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .linalg import ABSENT_WEIGHT, DEFAULT_EPS, SpectrumClusters, cluster_spectrum, hermitian_eig
+from .linalg import (
+    ABSENT_WEIGHT,
+    DEFAULT_EPS,
+    SpectrumClusters,
+    _check_eps,
+    cluster_spectrum,
+    hermitian_eig,
+)
 from .states import ChannelState, PureState, _read_only
 
 __all__ = [
@@ -309,6 +316,7 @@ def verify_condition(channel: ChannelState, u_b, d: int, eps: float = DEFAULT_EP
 
 def _certificate(channel: ChannelState, u_b, d: int, eps: float):
     """verify_condition's checks, then (u_b as an array, eta_hat, verdict)."""
+    _check_eps(eps)
     n = len(channel.bob)
     if not 0 <= d <= n:
         raise ValueError("d outside 0..n")
@@ -519,8 +527,7 @@ def analyze(channel: ChannelState, eps: float = DEFAULT_EPS) -> AnalysisReport:
     report's swapped flag is set; u_a and u_b still act on the sender and
     receiver respectively.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     m_out, n_out = len(channel.alice), len(channel.bob)
     swapped = m_out < n_out
     oriented = channel.swapped() if swapped else channel
@@ -571,6 +578,7 @@ def certify(channel: ChannelState, d: int, eps: float = DEFAULT_EPS):
     nonzero spectra agree, and 2**n - 2**m is a multiple of 2**d for every
     d <= m, so no multiplicity changes its residue mod 2**d.
     """
+    _check_eps(eps)
     swapped = len(channel.alice) < len(channel.bob)
     w, clusters, _, cert = _structural(channel.swapped() if swapped else channel, eps, d)
     if swapped:

@@ -413,8 +413,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.eps <= 0:
-        print("error: --eps must be positive", file=sys.stderr)
+    if not 0.0 < args.eps < 1.0:
+        print("error: --eps must be a finite number in (0, 1)", file=sys.stderr)
         return EXIT_INFEASIBLE
     try:
         return args.fn(args)

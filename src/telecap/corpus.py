@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_EPS, MAX_DIM, UNITARY_TOL
+from .linalg import DEFAULT_EPS, MAX_DIM, UNITARY_TOL, _check_eps
 from .states import (
     MAX_QUBITS,
     ChannelState,
@@ -168,6 +168,7 @@ def generate_planted(m: int, n: int, d: int, seed: int,
         raise ValueError("party sizes must be positive with at most 16 qubits total")
     if not 0 <= d <= min(m, n):
         raise ValueError("planted capacity must lie in 0..min(m, n)")
+    _check_eps(eps)
     root = np.random.SeedSequence(seed)
     residual_seq, scramble_a, scramble_b = root.spawn(3)
 

@@ -36,6 +36,13 @@ _HERMITIAN_TOL = 1e-9
 _PHASE_TOL = 1e-12
 
 
+def _check_eps(eps: float) -> None:
+    """eps is an absolute tolerance on a trace-one spectrum: one of 1 or
+    more admits every density, and nan compares false everywhere."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must be a finite number in (0, 1)")
+
+
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
@@ -105,8 +112,7 @@ def cluster_spectrum(eigenvalues, eps: float = DEFAULT_EPS,
     than eps.
     """
     w = np.asarray(eigenvalues, dtype=float).ravel()
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     if w.size == 0:
         raise ValueError("empty spectrum")
     if np.any(np.diff(w) > 1e-12):

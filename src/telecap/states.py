@@ -171,7 +171,7 @@ def tensor(states) -> PureState:
         raise ValueError(f"tensor product exceeds {MAX_QUBITS} qubits")
     v = states[0].amplitudes
     for s in states[1:]:
-        v = np.kron(v, s.amplitudes)
+        v = np.multiply.outer(v, s.amplitudes).reshape(-1)
     return PureState(v)
 
 

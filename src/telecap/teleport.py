@@ -14,15 +14,17 @@ flavour first applies the standard two-qubit measurement circuit and reads
 both qubits in the computational basis.  The two differ only in how the
 classical two-bit message is labeled.
 
-Every branch comes from one table.  Per used pair, one contraction of the
-joint state turns the (message, sender half) axes into an outcome axis and
-corrects the receiver half, so after k pairs the unnormalized amplitudes of
-all 4**k branches sit in an array no larger than the joint state.  Branch
-probabilities are the squared norms of its rows and fidelities their
-overlaps with the payload; exhaustive mode still reports all 4**k branches,
-and sample mode draws each round's outcome from the table's conditional
-probabilities.  bell_round and circuit_round read one round off the same
-table, built for a single pair of an arbitrary state.
+Every branch comes from one table.  One transpose groups the joint state
+by pair, each pair's (message, sender half, receiver half) axes side by
+side.  Per used pair, one batched matmul with an 8 x 8 operator then turns
+that triple, where it sits, into an outcome and the corrected receiver
+half.  So after k pairs the unnormalized amplitudes of all 4**k branches
+sit in an array no larger than the joint state.  Branch probabilities are
+the squared norms of its rows and fidelities their overlaps with the
+payload; exhaustive mode still reports all 4**k branches, and sample mode
+draws each round's outcome from the table's conditional probabilities.
+bell_round and circuit_round read one round off the same table, built for
+a single pair of an arbitrary state.
 
 Outcome index conventions, per pair:
 
@@ -247,20 +249,25 @@ def _branch_table(joint: PureState, triples, pair_operator: np.ndarray) -> np.nd
 
     Axis 0 packs the raw outcomes, pair 0 most significant; axis 1 holds
     the receiver halves in pair order, already corrected; axis 2 runs over
-    the qubits the protocol leaves alone.  Each pair is one contraction of
-    its (message, sender half, receiver half) axes with the protocol's
-    pair operator, so the table is the same size as the joint state.
+    the qubits the protocol leaves alone, in ascending order.  One
+    transpose groups the joint state by pair: each pair's (message, sender
+    half, receiver half) axes side by side, pair 0 first, then the rest.
+    Pair t is then one batched matmul of the protocol's 8 x 8 pair operator
+    with the state viewed as (8**t, 8, -1), which turns its triple, where
+    it sits, into an (outcome, corrected receiver half) pair; one transpose
+    at the end gathers the outcomes ahead of the receiver halves.  So no
+    pair moves an axis, and the table is the same size as the joint state.
     """
     k, n = len(triples), joint.n_qubits
-    measured = [q for t, a, _ in triples for q in (t, a)]
-    receiving = [b for _, _, b in triples]
-    rest = [q for q in range(n) if q not in set(measured + receiving)]
-    psi = joint.amplitudes.reshape((2,) * n).transpose(measured + receiving + rest)
-    psi = psi.reshape((4,) * k + (2,) * k + (-1,))
+    grouped = [q for triple in triples for q in triple]
+    rest = [q for q in range(n) if q not in set(grouped)]
+    psi = joint.amplitudes.reshape((2,) * n).transpose(grouped + rest)
+    op = pair_operator.reshape(8, 8)
     for t in range(k):
-        psi = np.moveaxis(np.tensordot(pair_operator, psi, axes=((2, 3), (t, k + t))),
-                          (0, 1), (t, k + t))
-    return psi.reshape(1 << (2 * k), 1 << k, -1)
+        psi = op @ psi.reshape(8 ** t, 8, -1)
+    psi = psi.reshape((4, 2) * k + (-1,))
+    order = [*range(0, 2 * k, 2), *range(1, 2 * k, 2), 2 * k]
+    return psi.transpose(order).reshape(1 << (2 * k), 1 << k, -1)
 
 
 def _sampled_indices(probabilities: np.ndarray, k: int, seed, trials: int) -> np.ndarray:
@@ -305,12 +312,11 @@ def _teleport(channel, payload, report, method, mode, seed, trials, eps):
     overlaps = np.einsum("j,rjs->rs", payload.amplitudes.conj(), table)
     captured = np.einsum("rs,rs->r", overlaps.conj(), overlaps).real
     fidelities = captured[indices] / probabilities[indices]
-    outcomes = np.stack(np.unravel_index(indices, (4,) * k), axis=1).tolist()
-    branches = tuple(
-        BranchOutcome(tuple(combo), tuple(protocol.corrections[r] for r in combo),
-                      float(probabilities[i]), float(f))
-        for combo, i, f in zip(outcomes, indices, fidelities)
-    )
+    outcomes = np.stack(np.unravel_index(indices, (4,) * k), axis=1)
+    corrections = np.asarray(protocol.corrections)[outcomes]
+    branches = tuple(map(BranchOutcome, map(tuple, outcomes.tolist()),
+                         map(tuple, corrections.tolist()),
+                         probabilities[indices].tolist(), fidelities.tolist()))
     return TeleportResult(method, report.capacity, payload.n_qubits, branches)
 
 

@@ -1,7 +1,9 @@
-"""The one-contraction branch table against the sequential oracle, and
-sampled outcome sequences pinned from the round-by-round simulator."""
+"""The pair-grouped branch table against the sequential oracle, its
+memory, the types of its records, and sampled outcome sequences pinned
+from the round-by-round simulator."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 from oracle import sequential_teleport
 from telecap.capacity import analyze
 from telecap.corpus import generate_planted, ghz_channel, n_bell_channel
-from telecap.states import random_pure_state
+from telecap.states import ChannelState, permute_qubits, random_pure_state
 from telecap.teleport import _sampled_indices, teleport_bell, teleport_circuit
 
 TELEPORTS = {"bell": teleport_bell, "circuit": teleport_circuit}
@@ -67,6 +69,62 @@ def test_factored_report_matches_sequential_oracle(m, n, d, method):
     report = analyze(channel)
     assert report._purifier_factors is not None
     _assert_matches_oracle(channel, random_pure_state(d, seed=81), report, method)
+
+
+def _relabelled(channel, alice, bob):
+    """The same channel with its qubits moved to the labels alice and bob:
+    new qubit alice[i] holds old qubit channel.alice[i], likewise bob."""
+    new_from_old = [0] * channel.state.n_qubits
+    for new, old in zip(alice + bob, channel.alice + channel.bob):
+        new_from_old[new] = old
+    return ChannelState(permute_qubits(channel.state, new_from_old), alice, bob)
+
+
+@pytest.mark.parametrize("method", sorted(TELEPORTS))
+@pytest.mark.parametrize("m,n,d,alice,bob", [
+    (3, 3, 2, (5, 0, 3), (1, 4, 2)),
+    (4, 3, 3, (6, 1, 4, 0), (5, 2, 3)),
+], ids=["planted3x3", "planted4x3"])
+def test_interleaved_labels_match_sequential_oracle(m, n, d, alice, bob, method):
+    # the parties interleave and run out of order, so each pair's triple is
+    # non-adjacent in the joint state, with spectators between its qubits
+    channel = _relabelled(generate_planted(m, n, d, seed=90 + m).channel, alice, bob)
+    report = analyze(channel)
+    assert report.capacity == d
+    for k in range(1, d + 1):
+        _assert_matches_oracle(channel, random_pure_state(k, seed=910 + k), report, method)
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"mode": "sample", "seed": 5, "trials": 256}],
+                         ids=["exhaustive", "sample"])
+def test_branch_walk_memory(kwargs):
+    # the walk holds the joint state, its pair-grouped copy and one matmul
+    # result; a k-fold operator or one more full copy breaks the bound
+    channel = generate_planted(6, 6, 4, seed=76).channel
+    report = analyze(channel)
+    payload = random_pure_state(4, seed=904)
+    joint_bytes = 16 * 2 ** (payload.n_qubits + channel.state.n_qubits)
+    teleport_bell(channel, payload, report, **kwargs)
+    tracemalloc.start()
+    try:
+        teleport_bell(channel, payload, report, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * joint_bytes
+
+
+@pytest.mark.parametrize("method", sorted(TELEPORTS))
+@pytest.mark.parametrize("kwargs", [{}, {"mode": "sample", "seed": 5, "trials": 40}],
+                         ids=["exhaustive", "sample"])
+def test_records_hold_python_scalars(kwargs, method):
+    channel = generate_planted(3, 3, 2, seed=16).channel
+    result = TELEPORTS[method](channel, random_pure_state(2, 17), **kwargs)
+    assert len(result.branches) == (16 if not kwargs else 40)
+    for b in result.branches:
+        assert type(b.outcomes) is tuple and type(b.corrections) is tuple
+        assert all(type(x) is int for x in b.outcomes + b.corrections)
+        assert type(b.probability) is float and type(b.fidelity) is float
 
 
 # Raw outcomes per trial, 10 trials each, drawn per trial from its own

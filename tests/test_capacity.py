@@ -332,6 +332,22 @@ class TestAnalyze:
         with pytest.raises(ValueError, match="eps"):
             analyze(n_bell_channel(1), eps=0.0)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 1.0, 1e300, -1.0])
+    def test_rejects_eps_outside_unit_interval(self, eps):
+        # eps >= 1 admits every trace-one density, and nan compares false
+        # everywhere; both used to pass the positivity check
+        ch = generate_planted(2, 2, 1, seed=3).channel
+        rep = analyze(ch)
+        with pytest.raises(ValueError, match="eps"):
+            analyze(ch, eps)
+        for d in (1, 2):
+            with pytest.raises(ValueError, match="eps"):
+                certify(ch, d, eps)
+        with pytest.raises(ValueError, match="eps"):
+            verify_condition(ch, rep.u_b, 1, eps)
+        with pytest.raises(ValueError, match="eps"):
+            linalg.cluster_spectrum([0.5, 0.5], eps)
+
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10_000))
     def test_verify_always_passes_at_reported_capacity(self, seed):

@@ -425,6 +425,18 @@ class TestArgumentHandling:
         code, _, err = run("analyze", bell_file, "--eps", 0)
         assert code == EXIT_INFEASIBLE and "eps" in err
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "1.0", "1e300"])
+    @pytest.mark.parametrize("argv", [["analyze"], ["verify", "2"], ["teleport"]],
+                             ids=["analyze", "verify", "teleport"])
+    def test_eps_outside_unit_interval(self, run, tmp_path, argv, eps):
+        # on a capacity-1 channel, eps >= 1 used to report capacity=2 and
+        # nan a failed synthesis
+        path = tmp_path / "c.json"
+        assert run("generate", 2, 2, 1, "--seed", 3, "-o", path)[0] == EXIT_OK
+        code, out, err = run(argv[0], path, *argv[1:], "--eps", eps)
+        assert code == EXIT_INFEASIBLE and out == ""
+        assert err.count("\n") == 1 and "--eps" in err
+
     def test_unknown_command_exits_two(self, bell_file):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", bell_file])

@@ -176,6 +176,12 @@ class TestPlanted:
         with pytest.raises(ValueError, match="positive"):
             generate_planted(0, 1, 0, seed=0)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 1.0, 0.0])
+    def test_rejects_eps_outside_unit_interval(self, eps):
+        # a nan margin fails no gap test, so the residual was never checked
+        with pytest.raises(ValueError, match="eps"):
+            generate_planted(2, 2, 1, seed=3, eps=eps)
+
 
 def _schmidt(channel: ChannelState, m: int, n: int) -> np.ndarray:
     return np.linalg.svd(channel.state.amplitudes.reshape(1 << m, 1 << n),

@@ -119,9 +119,14 @@ class TestPermuteAndTensor:
         assert np.allclose(out.amplitudes, basis_state((0, 0, 1)).amplitudes)
 
     def test_tensor_is_kron(self):
-        a, b = random_pure_state(1, 1), random_pure_state(2, 2)
-        got = tensor([a, b]).amplitudes
-        assert np.max(np.abs(got - np.kron(a.amplitudes, b.amplitudes))) < 1e-15
+        # one product per entry, so equal to kron bit for bit
+        for sizes in [(1, 2), (1, 1), (8, 8), (1, 8), (8, 1), (3, 5),
+                      (1, 1, 1), (1, 2, 3), (8, 1, 7), (2, 8, 6), (5, 5, 5)]:
+            factors = [random_pure_state(n, seed=10 * i + n) for i, n in enumerate(sizes)]
+            want = factors[0].amplitudes
+            for f in factors[1:]:
+                want = np.kron(want, f.amplitudes)
+            assert np.array_equal(tensor(factors).amplitudes, want), sizes
 
     def test_tensor_cap(self):
         with pytest.raises(ValueError, match="exceeds"):
