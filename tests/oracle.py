@@ -356,3 +356,9 @@ def sequential_teleport(channel: ChannelState, payload: np.ndarray, report, meth
 
     walk(psi, (), 1.0)
     return branches
+
+
+def spawned_uniforms(seed: np.random.SeedSequence, trials: int, k: int) -> np.ndarray:
+    """(trials, k): random(k) from a fresh default_rng on each of the next
+    `trials` children of seed, one generator per child.  Advances seed."""
+    return np.array([np.random.default_rng(child).random(k) for child in seed.spawn(trials)])

@@ -1,6 +1,7 @@
 """The pair-grouped branch table against the sequential oracle, its
-memory, the types of its records, and sampled outcome sequences pinned
-from the round-by-round simulator."""
+memory, the types of its records, sampled outcome sequences pinned from
+the round-by-round simulator, and the trials' derived generator streams
+against numpy's own generators."""
 
 import dataclasses
 import tracemalloc
@@ -8,11 +9,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracle import sequential_teleport
+from oracle import sequential_teleport, spawned_uniforms
 from telecap.capacity import analyze
 from telecap.corpus import generate_planted, ghz_channel, n_bell_channel
 from telecap.states import ChannelState, permute_qubits, random_pure_state
-from telecap.teleport import _sampled_indices, teleport_bell, teleport_circuit
+from telecap.teleport import (
+    _TRIAL_BYTES,
+    _sampled_indices,
+    _trial_uniforms,
+    teleport_bell,
+    teleport_circuit,
+)
 
 TELEPORTS = {"bell": teleport_bell, "circuit": teleport_circuit}
 
@@ -184,3 +191,96 @@ def test_sampled_indices_follow_rng_choice(k):
         seed = 1000 * k + draw
         assert (_sampled_indices(probabilities, k, seed, 25).tolist()
                 == list(_choice_indices(probabilities, k, seed, 25)))
+
+
+ENTROPIES = [0, 5, 2**32 - 1, 2**32, 2**100 + 7, None, [1, 2, 3], [9, 8, 7, 6, 5, 4]]
+
+
+@pytest.mark.parametrize("spawn_key", [(), (1,), (3, 2**40)])
+@pytest.mark.parametrize("entropy", ENTROPIES)
+def test_trial_uniforms_match_spawned_generators(entropy, spawn_key):
+    # spawn_key (1,) is the CLI's sampling seed, SeedSequence(seed).spawn(2)[1]
+    seed = np.random.SeedSequence(entropy, spawn_key=spawn_key)
+
+    def fresh():
+        return np.random.SeedSequence(seed.entropy, spawn_key=spawn_key)
+
+    # at 1000 trials one k = 8 draw stands for every k: a generator's
+    # random(k) is the first k variates of its random(8)
+    full = spawned_uniforms(fresh(), 1000, 8)
+    for trials in (1, 10, 1000):
+        for k in range(1, 9):
+            want = full[:, :k] if trials == 1000 else spawned_uniforms(fresh(), trials, k)
+            assert np.array_equal(_trial_uniforms(seed, trials, k), want), (trials, k)
+
+
+@pytest.mark.parametrize("pool_size", [5, 11])
+def test_trial_uniforms_follow_pool_size(pool_size):
+    seed = np.random.SeedSequence(2**70 + 3, spawn_key=(4,), pool_size=pool_size)
+    want = spawned_uniforms(np.random.SeedSequence(2**70 + 3, spawn_key=(4,),
+                                                   pool_size=pool_size), 10, 3)
+    assert np.array_equal(_trial_uniforms(seed, 10, 3), want)
+
+
+def _sample(seed, method="bell", trials=30, channel=None, payload=None):
+    if channel is None:
+        channel, payload = generate_planted(3, 3, 2, seed=16).channel, random_pure_state(2, 17)
+    result = TELEPORTS[method](channel, payload, mode="sample", seed=seed, trials=trials)
+    return [b.outcomes for b in result.branches]
+
+
+def test_seed_sequence_is_read_not_advanced():
+    seed = np.random.SeedSequence(11)
+    seed.spawn(7)
+    first = _sample(seed)
+    assert seed.n_children_spawned == 7
+    assert _sample(seed) == first
+    # trial i uses the child the next spawn would hand out i-th
+    reference = np.random.SeedSequence(11)
+    reference.spawn(7)
+    assert np.array_equal(_trial_uniforms(seed, 30, 2), spawned_uniforms(reference, 30, 2))
+    assert first != _sample(np.random.SeedSequence(11))
+
+
+def test_spawn_count_stays_below_2_32():
+    def near_end():
+        return np.random.SeedSequence(5, n_children_spawned=2**32 - 3)
+
+    assert np.array_equal(_trial_uniforms(near_end(), 2, 3), spawned_uniforms(near_end(), 2, 3))
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        _trial_uniforms(near_end(), 3, 3)
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        _sample(near_end(), trials=3)
+
+
+class _NoSpawn(np.random.SeedSequence):
+    def spawn(self, n_children):
+        raise AssertionError("sample mode spawned a child SeedSequence")
+
+
+@pytest.mark.parametrize("method", sorted(TELEPORTS))
+def test_sample_mode_builds_no_generator(monkeypatch, method):
+    want = _sample(7, method)
+    assert _sample(_NoSpawn(7), method) == want
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample mode built a generator")
+
+    channel, payload = generate_planted(3, 3, 2, seed=16).channel, random_pure_state(2, 17)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert _sample(7, method, channel=channel, payload=payload) == want
+
+
+def test_trial_estimate_bounds_its_peak():
+    # 4-qubit payload over a Bell stack: the channel's own arrays are small,
+    # so the peak is the trials' records
+    channel, payload = n_bell_channel(4), random_pure_state(4, seed=5)
+    report = analyze(channel)
+    trials = 10000
+    tracemalloc.start()
+    try:
+        teleport_bell(channel, payload, report, mode="sample", seed=1, trials=trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trials * _TRIAL_BYTES / 2 < peak <= trials * _TRIAL_BYTES

@@ -194,6 +194,16 @@ class TestTeleportCommand:
         assert code == EXIT_OK
         assert len([l for l in out.splitlines() if l.startswith("branch ")]) == 5
 
+    def test_sampled_trials_refused_above_budget(self, run, bell_file, monkeypatch):
+        # 1000 trials at teleport._TRIAL_BYTES: 720,000 bytes
+        monkeypatch.setattr(capacity, "DENSE_BUDGET_BYTES", 1 << 19)
+        code, out, err = run("teleport", bell_file, "--mode", "sample", "--trials", 1000)
+        assert code == EXIT_INFEASIBLE and "capacity=1" in out and "branch" not in out
+        assert err == ("error: the record of 1,000 sampled trials needs 720,000 bytes, "
+                       "above the 524,288-byte budget\n")
+        code, out, _ = run("teleport", bell_file, "--mode", "sample", "--trials", 700)
+        assert code == EXIT_OK and " branches=700\n" in out
+
     def test_payload_file(self, run, bell_file, tmp_path):
         payload = tmp_path / "payload.json"
         save_state_file(str(payload), random_pure_state(1, 5))

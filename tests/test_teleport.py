@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import dominant_factor, expansion_identity_defect
-from telecap import linalg, teleport
+from telecap import capacity, linalg, teleport
 from telecap.capacity import analyze
 from telecap.corpus import generate_planted, ghz_channel, n_bell_channel
 from telecap.states import (
@@ -277,13 +277,19 @@ class TestSampling:
             teleport_bell(n_bell_channel(1), random_pure_state(1, 1),
                           mode="sample", trials=0)
 
-    @pytest.mark.parametrize("kwargs", [{"mode": "smaple"}, {"mode": "sample", "trials": 0}])
-    def test_bad_request_rejected_before_any_work(self, monkeypatch, kwargs):
+    @staticmethod
+    def _count_work(monkeypatch):
         calls = []
         for name in ("analyze", "_prepare"):
             fn = getattr(teleport, name)
             monkeypatch.setattr(teleport, name,
                                 lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+        return calls
+
+    @pytest.mark.parametrize("kwargs", [{"mode": "smaple"}]
+                             + [{"mode": "sample", "trials": t} for t in (0, 2.5, True, "3")])
+    def test_bad_request_rejected_before_any_work(self, monkeypatch, kwargs):
+        calls = self._count_work(monkeypatch)
         ch = n_bell_channel(1)
         for run in (teleport_bell, teleport_circuit):
             with pytest.raises(ValueError, match="mode|trials"):
@@ -291,6 +297,18 @@ class TestSampling:
         assert calls == []
         teleport_bell(ch, random_pure_state(1, 1))
         assert calls == ["analyze", "_prepare"]
+
+    def test_trials_refused_above_budget_before_any_work(self, monkeypatch):
+        calls = self._count_work(monkeypatch)
+        monkeypatch.setattr(capacity, "DENSE_BUDGET_BYTES", 1 << 19)
+        ch, payload = n_bell_channel(1), random_pure_state(1, 1)
+        # 1000 trials at _TRIAL_BYTES: 720,000 bytes
+        for run in (teleport_bell, teleport_circuit):
+            with pytest.raises(ValueError, match="^the record of 1,000 sampled trials needs "
+                                                 "720,000 bytes, above the 524,288-byte budget$"):
+                run(ch, payload, mode="sample", seed=1, trials=1000)
+        assert calls == []
+        assert len(teleport_bell(ch, payload, mode="sample", seed=1, trials=700).branches) == 700
 
 
 class TestMethodEquivalence:
