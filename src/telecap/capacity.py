@@ -23,7 +23,9 @@ Conventions fixed here and relied on by the teleport module:
   of the purifying side in computational order.  When the residual after
   u_b is diagonal to within ABSENT_WEIGHT, as after analyze's u_b, its
   eigenbasis is the computational basis, equal values kept in
-  computational order; otherwise it comes from an eigendecomposition.
+  computational order.  A u_b that mixes the residual is first rotated
+  into its eigenbasis, from one eigendecomposition, and then takes the
+  same signed-permutation or factored construction of the sender unitary.
 """
 
 from __future__ import annotations
@@ -327,36 +329,37 @@ def _certificate(channel: ChannelState, u_b, d: int, eps: float):
     return u_b, eta_hat, _factors(rho, eta_hat, d, eps)
 
 
-def _target_columns(eta_hat, m: int, n: int, d: int, bell_high: bool):
-    """Sender-side vectors of the canonical state, one column per receiver
-    basis index (residual bits high, Bell bits low), and where each column
-    is nonzero.
+def _targets(eta_hat: np.ndarray, u_b: np.ndarray, m: int, n: int, d: int, bell_high: bool):
+    """The canonical state's sender vector for each receiver basis index
+    (residual bits high, Bell bits low), as the row and the value of its
+    one nonzero entry (row -1 for a zero vector).
 
-    With mu, basis the descending eigensystem of the post-u_b residual
-    density eta_hat, column (j', i) of the canonical state
-    prod_t singlet_t (x) purification is sign(i)/sqrt(2**d) * sum_j
-    sqrt(mu_j) basis[j', j] |a(i, j)>, where the sender index a(i, j) packs
-    the complemented Bell bits next to the purifying label j: Bell bits high
-    when the sender keeps her Bell halves on her leading qubits (bell_high),
-    low otherwise; sign(i) is - when d minus the popcount of i is odd.
+    With mu, e_j the descending eigensystem of the post-u_b residual
+    density eta_hat, column (j', i) of the canonical state prod_t singlet_t
+    (x) purification is sign(i)/sqrt(2**d) sum_j sqrt(mu_j) <j'|e_j>
+    |a(i, j)>, where the sender index a(i, j) packs the complemented Bell
+    bits next to the purifying label j: Bell bits high when the sender
+    keeps her Bell halves on her leading qubits (bell_high), low otherwise;
+    sign(i) is - when d minus the popcount of i is odd.
 
     When no off-diagonal entry of eta_hat exceeds ABSENT_WEIGHT, as after
-    analyze's u_b (the eigenbasis of the receiver's density), the
-    eigensystem is read off the diagonal: mu is eta_hat's diagonal in
-    stable descending order and basis the matching computational basis
-    vectors, so no second eigendecomposition runs.  Every column then has
-    at most one nonzero entry, and the second return value gives its row
-    (-1 for a zero column); otherwise it is None.
+    analyze's u_b (the eigenbasis of the receiver's density), mu is
+    eta_hat's diagonal in stable descending order and e_j the matching
+    computational basis vector, so no second eigendecomposition runs.
+    Otherwise B, the eigenvectors of one hermitian_eig, rotates u_b into
+    (B† (x) I) u_b, whose residual is diag(mu): with X = B (x) I, the
+    source and target columns are S = S'' Xᵀ and T = T'' Xᵀ, so the pair
+    keeps its support and canonical state.  Returns (u_b, rows, values, B),
+    u_b as rotated and B None when it was not.
     """
     off = np.abs(eta_hat)
     np.fill_diagonal(off, 0.0)
-    diagonal = bool(np.max(off) <= ABSENT_WEIGHT)
-    if diagonal:
-        mu = np.diagonal(eta_hat).real
-        order = np.argsort(-mu, kind="stable")
-        mu, basis = mu[order], np.eye(mu.size)[:, order]
-    else:
+    mu, basis = np.diagonal(eta_hat).real, None
+    if np.max(off) > ABSENT_WEIGHT:
         mu, basis = hermitian_eig((eta_hat + eta_hat.conj().T) / 2)
+        u_b = np.kron(basis.conj().T, np.eye(1 << d)) @ u_b
+    order = np.argsort(-mu, kind="stable")
+    mu = mu[order]
     labels = np.flatnonzero(np.clip(mu, 0.0, None) > ZERO_EIGENVALUE)
     da_res = 1 << (m - d)
     if labels.size and labels[-1] >= da_res:
@@ -366,17 +369,11 @@ def _target_columns(eta_hat, m: int, n: int, d: int, bell_high: bool):
     signs = np.array([(-1.0) ** (d - bin(i).count("1")) for i in range(du)])
     a_bell = ~bits & (du - 1)
     lab = labels[:, None]
-    rows = a_bell * da_res + lab if bell_high else (lab << d) + a_bell  # a(i, j)
-    coef = signs * (np.sqrt(mu[labels]) * 2.0 ** (-d / 2.0))[:, None]
-    cols = np.zeros((1 << m, dr, du), dtype=complex)  # receiver index split (j', i)
-    # += so that a zero of basis times a negative coefficient stays +0.0
-    cols.transpose(0, 2, 1)[rows, bits] += coef[:, :, None] * basis[:, labels].T[:, None, :]
-    cols = cols.reshape(1 << m, 1 << n)
-    if not diagonal:
-        return cols, None
-    nonzero = np.full((dr, du), -1)
-    nonzero[order[labels][:, None], bits] = rows  # column j of basis is e_{order[j]}
-    return cols, nonzero.reshape(-1)
+    rows, values = np.full((dr, du), -1), np.zeros((dr, du), dtype=complex)
+    at = order[lab]  # the receiver's residual index of label j, e_j being e_{order[j]}
+    rows[at, bits] = a_bell * da_res + lab if bell_high else (lab << d) + a_bell  # a(i, j)
+    values[at, bits] = signs * (np.sqrt(mu[labels]) * 2.0 ** (-d / 2.0))[:, None]
+    return u_b, rows.reshape(-1), values.reshape(-1), basis
 
 
 def _completed_frame(cols: np.ndarray) -> np.ndarray:
@@ -409,13 +406,16 @@ def synthesize_u_a(channel: ChannelState, u_b, d: int, eps: float = DEFAULT_EPS)
     the source frame onto the target frame carries each a_k to t_k.
     Zero-weight indices never occur in the state.
 
-    When 2r is at least the sender's dimension 2**m, u_a = Q_t Q_s† from
-    complete QRs of the kept columns S and T, checked densely to 1e-9; when
-    the residual is diagonal, T has one nonzero entry per column and Q_t is
-    a phased permutation, so u_a is Q_s† with its rows moved and rephased.
-    Otherwise W, the reduced Householder QR factor of [S | T], spans both
-    sets of columns with 2r orthonormal columns, and the same frames are
-    built for the projections W†S and W†T, giving a 2r x 2r unitary C.
+    A u_b that mixes the residual is first rotated into the residual's
+    eigenbasis, which keeps the support and the canonical state (see
+    _targets) and changes u_a only off the support; so each target column
+    has one nonzero entry.  When 2r is at least the sender's dimension
+    2**m, Q_s comes from a complete QR of the kept columns S, Q_t is a
+    phased permutation, and u_a = Q_t Q_s† is Q_s† with its rows moved and
+    rephased, checked densely to 1e-9.  Otherwise W, the reduced
+    Householder QR factor of [S | T], spans both sets of columns with 2r
+    orthonormal columns, and the same frames are built for the
+    projections W†S and W†T, giving a 2r x 2r unitary C.
     Then u_a = I + W (C - I) W†, the identity on the complement of
     span[S, T], at O(4**m r) cost.  Only the small factors are checked:
     with E = W†W - I, F = C†C - I and D = C - I,
@@ -432,26 +432,23 @@ def synthesize_u_a(channel: ChannelState, u_b, d: int, eps: float = DEFAULT_EPS)
     u_b, eta_hat, holds = _certificate(channel, u_b, d, eps)
     if not holds:
         raise ValueError("factorization condition fails at this d")
-    targets, rows = _target_columns(eta_hat, len(channel.alice), len(channel.bob), d,
+    u_b, rows, values, _ = _targets(eta_hat, u_b, len(channel.alice), len(channel.bob), d,
                                     bell_high=True)
-    u_a, factors = _sender_unitary(channel, u_b, targets, rows)
+    u_a, factors = _sender_unitary(channel, u_b, rows, values)
     return _assemble(*factors) if u_a is None else u_a
 
 
-def _permuted_frame(q_s: np.ndarray, targets: np.ndarray, rows: np.ndarray,
-                    keep: np.ndarray) -> np.ndarray:
-    """Q_t Q_s† for kept target columns with one nonzero entry each, in the
-    given rows, without forming Q_t.
+def _permuted_frame(q_s: np.ndarray, rows: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Q_t Q_s† for kept target columns whose one nonzero entry each is
+    given by its row and value, without forming Q_t.
 
     Such columns are orthogonal, so their ordered Gram-Schmidt frame is
     their own unit vectors times the entries' phases; completing it by the
     unused unit vectors in computational order makes Q_t a phased
     permutation, and Q_t Q_s† is Q_s† with its rows moved and rephased.
-    An entry at or below the acceptance threshold is a rank deficiency,
-    as for _completed_frame.  q_s is rephased in place.
+    A row of -1 (a zero column) or an entry at or below _GS_ACCEPT is a
+    rank deficiency, as for _completed_frame.  q_s is rephased in place.
     """
-    rows = rows[keep]
-    entries = targets[rows, keep]  # a row of -1 (a zero column) is refused below
     if np.any(rows < 0) or np.any(np.abs(entries) <= _GS_ACCEPT):
         raise ArithmeticError("relative-vector frame is rank deficient")
     unused = np.ones(q_s.shape[0], dtype=bool)
@@ -464,11 +461,9 @@ def _permuted_frame(q_s: np.ndarray, targets: np.ndarray, rows: np.ndarray,
     return np.conjugate(u_a, out=u_a)
 
 
-def _sender_unitary(channel: ChannelState, u_b: np.ndarray, targets: np.ndarray,
-                    rows: np.ndarray | None):
-    """synthesize_u_a's construction for given target columns; rows, when
-    not None, is where each target column has its one nonzero entry, as
-    _target_columns returns it.
+def _sender_unitary(channel: ChannelState, u_b: np.ndarray, rows: np.ndarray,
+                    values: np.ndarray):
+    """synthesize_u_a's construction for the target columns _targets gives.
 
     Returns (u_a, None) when u_a was built densely, and (None, (W, C - I)),
     both factors read-only, when u_a = I + W (C - I) W†; the dense matrix
@@ -477,16 +472,16 @@ def _sender_unitary(channel: ChannelState, u_b: np.ndarray, targets: np.ndarray,
     source = bipartition_matrix(channel) @ u_b.T
     weights = np.einsum("ak,ak->k", source.conj(), source).real
     keep = np.flatnonzero(weights > ZERO_EIGENVALUE)
-    s = source[:, keep]
+    s, rows, values = source[:, keep], rows[keep], values[keep]
     if 2 * keep.size >= s.shape[0]:
-        if rows is None:
-            u_a = _completed_frame(targets[:, keep]) @ _completed_frame(s).conj().T
-        else:
-            u_a = _permuted_frame(_completed_frame(s), targets, rows, keep)
+        u_a = _permuted_frame(_completed_frame(s), rows, values)
         if not linalg.is_unitary(u_a):
             raise ArithmeticError("synthesized sender unitary failed the unitarity check")
         return u_a, None
-    t = targets[:, keep]
+    if np.any(rows < 0):  # a zero target column; small entries fail the frame below
+        raise ArithmeticError("relative-vector frame is rank deficient")
+    t = np.zeros_like(s)
+    t[rows, np.arange(keep.size)] = values
     w, _ = np.linalg.qr(np.concatenate([s, t], axis=1))
     wh = w.conj().T
     c = _completed_frame(wh @ t) @ _completed_frame(wh @ s).conj().T
@@ -536,29 +531,18 @@ def analyze(channel: ChannelState, eps: float = DEFAULT_EPS) -> AnalysisReport:
     w, clusters, d, (u_struct, eta, eta_hat, holds) = _structural(oriented, eps)
     if not holds:
         raise ArithmeticError("factorization condition failed after synthesis")
-    targets, rows = _target_columns(eta_hat, m, n, d, bell_high=not swapped)
-    u_purif, factors = _sender_unitary(oriented, u_struct, targets, rows)
+    u_struct, rows, values, _ = _targets(eta_hat, u_struct, m, n, d, bell_high=not swapped)
+    u_purif, factors = _sender_unitary(oriented, u_struct, rows, values)
     if u_purif is not None:
         _read_only(u_purif)  # so the report adopts it instead of copying it
 
-    entropy = _spectrum_entropy(np.clip(w, 0.0, None))
     relabeling = _relabeling(n_out, d)
     a_slots = range(d) if not swapped else range(m_out - d, m_out)
-    pairs = tuple(
-        (channel.alice[ai], channel.bob[bi]) for ai, bi in zip(a_slots, relabeling[:d])
-    )
+    pairs = tuple((channel.alice[a], channel.bob[b]) for a, b in zip(a_slots, relabeling[:d]))
     u_a, u_b = (u_struct, u_purif) if swapped else (u_purif, u_struct)
     report = AnalysisReport(
-        entropy_bits=entropy,
-        capacity=d,
-        u_a=u_a,
-        u_b=u_b,
-        eta=eta,
-        clusters=clusters,
-        bob_relabeling=relabeling,
-        pairs=pairs,
-        swapped=swapped,
-    )
+        entropy_bits=_spectrum_entropy(np.clip(w, 0.0, None)), capacity=d, u_a=u_a, u_b=u_b,
+        eta=eta, clusters=clusters, bob_relabeling=relabeling, pairs=pairs, swapped=swapped)
     # _sender_unitary has checked u_purif or its factors, so no dense check
     # is repeated; a purifier left as factors is assembled only when read
     object.__setattr__(report, "_purifier_checked", True)
@@ -597,7 +581,12 @@ def canonical_state(channel: ChannelState, report: AnalysisReport) -> PureState:
     d = report.capacity
     m, n = len(oriented.alice), len(oriented.bob)
     _, eta_hat = _transformed(reduced_density(oriented, "bob"), u_struct, d)
-    cols, _ = _target_columns(eta_hat, m, n, d, bell_high=not report.swapped)
+    _, rows, values, basis = _targets(eta_hat, u_struct, m, n, d, bell_high=not report.swapped)
+    cols = np.zeros((1 << m, 1 << n), dtype=complex)
+    nonzero = np.flatnonzero(rows >= 0)
+    cols[rows[nonzero], nonzero] = values[nonzero]
+    if basis is not None:  # back from the residual's eigenbasis: T = T'' (B (x) I)ᵀ
+        cols = cols @ np.kron(basis, np.eye(1 << d)).T
     cols = cols / np.linalg.norm(cols)
     psi = cols.reshape((2,) * (m + n))
     psi = np.transpose(psi, np.argsort(oriented.alice + oriented.bob))

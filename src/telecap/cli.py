@@ -13,7 +13,7 @@ Exit codes:
 2  malformed input (unreadable or structurally invalid state file)
 3  norm invariant violated (amplitudes off unit norm by more than 1e-6)
 4  infeasible request (bad split, inadmissible capacity claim, failed
-   condition check, out of memory)
+   condition check, out of memory, an output path that cannot be written)
 5  a protocol branch fell below the fidelity floor
 """
 
@@ -167,7 +167,7 @@ def load_state_file(path: str):
             doc = json.load(fp)
     except OSError as exc:
         raise CliFailure(EXIT_MALFORMED, f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also not UTF-8, or nested too deep
         raise CliFailure(EXIT_MALFORMED, f"{path} is not valid JSON: {exc}")
     return decode_state(doc)
 
@@ -245,8 +245,11 @@ def _write_report(path: str, report) -> None:
     pieces = [head]
     for m, tail in zip((report.u_a, report.u_b, report.eta), tails):
         pieces += ["null" if m is None else _matrix_text(m), tail]
-    with open(path, "w", encoding="ascii") as fp:
-        fp.writelines(pieces)
+    try:
+        with open(path, "w", encoding="ascii") as fp:
+            fp.writelines(pieces)
+    except OSError as exc:
+        raise CliFailure(EXIT_INFEASIBLE, f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _print_branches(result) -> None:
@@ -334,7 +337,10 @@ def _cmd_generate(args) -> int:
         raise CliFailure(EXIT_INFEASIBLE, str(exc))
     ch = planted.channel
     if args.output:
-        save_state_file(args.output, ch.state, ch.alice, ch.bob)
+        try:
+            save_state_file(args.output, ch.state, ch.alice, ch.bob)
+        except OSError as exc:
+            raise CliFailure(EXIT_INFEASIBLE, f"cannot write {args.output}: {exc.strerror or exc}")
         print(f"planted capacity={d} qubits={m}+{n} seed={args.seed} "
               f"file={args.output}")
     else:

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import signal
@@ -96,6 +97,13 @@ class TestAnalyzeCommand:
     def test_missing_file(self, run, tmp_path):
         code, _, err = run("analyze", tmp_path / "nope.json")
         assert code == EXIT_MALFORMED and "cannot read" in err
+
+    def test_unwritable_report(self, run, bell_file, tmp_path):
+        report = tmp_path / "missing" / "r.json"
+        code, out, err = run("analyze", bell_file, "--report", report)
+        assert code == EXIT_INFEASIBLE and "capacity=1" in out
+        assert err == f"error: cannot write {report}: {os.strerror(errno.ENOENT)}\n"
+        assert not report.parent.exists()
 
     def test_report_refused_above_budget(self, run, tmp_path, monkeypatch):
         path, report = tmp_path / "c.json", tmp_path / "report.json"
@@ -269,6 +277,16 @@ class TestGenerateCommand:
         run("generate", 2, 2, 1, "--seed", 9, "-o", p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_unwritable_output(self, run, tmp_path):
+        path = tmp_path / "missing" / "c.json"
+        code, out, err = run("generate", 2, 2, 1, "-o", path)
+        assert code == EXIT_INFEASIBLE and out == ""
+        assert err == f"error: cannot write {path}: {os.strerror(errno.ENOENT)}\n"
+        assert not path.parent.exists()
+        # the library writer still raises, for callers that handle OSError
+        with pytest.raises(FileNotFoundError):
+            save_state_file(str(path), n_bell_channel(1).state)
+
     def test_infeasible_capacity(self, run, tmp_path):
         code, _, err = run("generate", 1, 2, 2, "-o", tmp_path / "x.json")
         assert code == EXIT_INFEASIBLE and "0..min" in err
@@ -362,6 +380,18 @@ class TestStateFiles:
         path = tmp_path / "trunc.json"
         path.write_text('{"format": "telecap-state"')
         assert run("analyze", path)[0] == EXIT_MALFORMED
+
+    @pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"[" * 200_000, b"[1" + b"0" * 5000 + b"]"],
+                             ids=["not-utf8", "over-nested", "integer-too-long"])
+    def test_unparsable_file(self, run, tmp_path, raw):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        with pytest.raises(CliFailure) as info:
+            load_state_file(str(path))
+        assert info.value.code == EXIT_MALFORMED
+        code, out, err = run("analyze", path)
+        assert code == EXIT_MALFORMED and out == ""
+        assert err.startswith(f"error: {path} is not valid JSON: ") and err.count("\n") == 1
 
     def test_infinite_amplitude(self, run, tmp_path):
         doc = bell_doc()

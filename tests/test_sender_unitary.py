@@ -187,29 +187,48 @@ def test_dense_analysis_runs_one_qr(monkeypatch, m, n, d):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("m,n,d", [(3, 3, 1), (4, 4, 2), (4, 2, 1), (5, 2, 1), (3, 2, 0)])
-def test_rotated_residual_basis(monkeypatch, m, n, d):
-    """A receiver unitary rotated on the residual, (R (x) I) u_b, still
-    factors the density, but leaves a non-diagonal residual: its
-    eigensystem comes from an eigh, and u_a must still carry the support
-    onto the canonical targets of that residual."""
+ROTATED_GRID = [(3, 3, 1), (4, 4, 2), (4, 2, 1), (5, 2, 1), (3, 2, 0)]
+
+
+def residual_rotated(m, n, d):
+    """A planted channel, its report, a receiver unitary (R (x) I) u_b
+    rotated on the residual by a random unitary R, and the canonical
+    targets of the residual it leaves, from the oracle."""
     channel = generate_planted(m, n, d, seed=40 + 8 * m + n).channel
     rep = analyze(channel)
     dr = 1 << (n - d)
     rng = np.random.default_rng(m + n + d)
     rot, _ = np.linalg.qr(rng.standard_normal((dr, dr)) + 1j * rng.standard_normal((dr, dr)))
     u_b = np.kron(rot, np.eye(1 << d)) @ rep.u_b
-    assert verify_condition(channel, u_b, d)
-    eigs = []
-    monkeypatch.setattr(capacity, "hermitian_eig",
-                        lambda h, _eig=hermitian_eig: eigs.append(1) or _eig(h))
-    u_a = synthesize_u_a(channel, u_b, d)
-    assert len(eigs) == 1  # the residual's eigensystem, not read off its diagonal
-
     rho = u_b @ reduced_density(channel, "bob") @ u_b.conj().T
     eta = partial_trace_loops(rho, n, range(n - d, n))
     assert np.max(np.abs(eta - np.diag(np.diagonal(eta)))) > 1e-6
-    targets = canonical_target_columns(eta, m, n, d)
+    return channel, rep, u_b, canonical_target_columns(eta, m, n, d)
+
+
+@pytest.mark.parametrize("m,n,d", ROTATED_GRID)
+def test_rotated_residual_basis(monkeypatch, m, n, d):
+    """A receiver unitary rotated on the residual, (R (x) I) u_b, still
+    factors the density, but leaves a non-diagonal residual: its
+    eigensystem comes from an eigh, and u_a must still carry the support
+    onto the canonical targets of that residual, by the construction
+    analyze's own u_b takes."""
+    channel, rep, u_b, targets = residual_rotated(m, n, d)
+    assert verify_condition(channel, u_b, d)
+    eigs, qrs = [], []
+    monkeypatch.setattr(capacity, "hermitian_eig",
+                        lambda h, _eig=hermitian_eig: eigs.append(1) or _eig(h))
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: qrs.append(1) or qr(*a, **k))
+    synthesize_u_a(channel, rep.u_b, d)
+    assert not eigs
+    own_qrs, qrs[:] = len(qrs), []
+    u_a = synthesize_u_a(channel, u_b, d)
+    assert len(eigs) == 1  # the residual's eigensystem, not read off its diagonal
+    # the source's complete QR on the dense branch; the span's reduced QR
+    # and the two small frames' complete QRs on the factored one
+    assert len(qrs) == own_qrs == (1 if rep._purifier_factors is None else 3)
+
     source = bipartition_matrix(channel) @ u_b.T
     kept = np.einsum("ak,ak->k", source.conj(), source).real > 1e-12
     support = source[:, kept]
@@ -224,15 +243,23 @@ def test_rotated_residual_basis(monkeypatch, m, n, d):
         assert res.min_fidelity >= 1 - 1e-9
 
 
+@pytest.mark.parametrize("m,n,d", ROTATED_GRID)
+def test_canonical_state_for_residual_mixing_u_b(m, n, d):
+    channel, rep, u_b, targets = residual_rotated(m, n, d)
+    mixed = dataclasses.replace(rep, u_a=synthesize_u_a(channel, u_b, d), u_b=u_b)
+    canonical = canonical_state(channel, mixed)
+    cols = bipartition_matrix(ChannelState(canonical, channel.alice, channel.bob))
+    assert np.max(np.abs(cols - targets / np.linalg.norm(targets))) <= 1e-12
+    reached = mixed.u_a @ bipartition_matrix(channel) @ mixed.u_b.T
+    assert abs(np.vdot(cols, reached)) ** 2 >= 1 - 1e-12
+
+
 def test_permuted_frame_rejects_missing_targets():
     q_s = np.eye(4, dtype=complex)
-    targets = np.zeros((4, 2), dtype=complex)
-    targets[2, 0], targets[0, 1] = -0.5, 1e-8
-    keep = np.arange(2)
     with pytest.raises(ArithmeticError, match="rank deficient"):
-        capacity._permuted_frame(q_s, targets, np.array([2, 0]), keep)
-    targets[0, 1] = 0.5
+        capacity._permuted_frame(q_s, np.array([2, 0]), np.array([-0.5, 1e-8], dtype=complex))
+    entries = np.array([-0.5, 0.5], dtype=complex)
     with pytest.raises(ArithmeticError, match="rank deficient"):
-        capacity._permuted_frame(q_s, targets, np.array([2, -1]), keep)
-    u_a = capacity._permuted_frame(q_s, targets, np.array([2, 0]), keep)
+        capacity._permuted_frame(q_s, np.array([2, -1]), entries)
+    u_a = capacity._permuted_frame(q_s, np.array([2, 0]), entries)
     assert np.array_equal(u_a, [[0, 1, 0, 0], [0, 0, 1, 0], [-1, 0, 0, 0], [0, 0, 0, 1]])
