@@ -11,23 +11,14 @@ Two sweeps:
 """
 
 import argparse
-from dataclasses import dataclass
 
 import numpy as np
 
 from telecap import analyze, generate_planted, random_channel
+from telecap.capacity import DEFAULT_EPS
 
 
-@dataclass(frozen=True)
-class SurveyConfig:
-    trials: int = 200
-    planted_trials: int = 5
-    seed: int = 0
-    eps: float = 1e-9
-    max_side: int = 3
-
-
-def random_sweep(cfg: SurveyConfig) -> None:
+def random_sweep(cfg: argparse.Namespace) -> None:
     print(f"haar channels, {cfg.trials} per split, eps={cfg.eps:g}")
     width = cfg.max_side + 1
     header = "  ".join(f"d={d}" for d in range(width))
@@ -45,7 +36,7 @@ def random_sweep(cfg: SurveyConfig) -> None:
             print(f" {m} {n} | {cells}  {entropy / cfg.trials:12.4f}")
 
 
-def planted_sweep(cfg: SurveyConfig) -> None:
+def planted_sweep(cfg: argparse.Namespace) -> None:
     total = exact = 0
     for m in range(1, cfg.max_side + 1):
         for n in range(1, cfg.max_side + 1):
@@ -66,14 +57,12 @@ def main() -> None:
     parser.add_argument("--planted-trials", type=int, default=5,
                         help="planted channels per (m, n, d)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--eps", type=float, default=1e-9)
+    parser.add_argument("--eps", type=float, default=DEFAULT_EPS)
     parser.add_argument("--max-side", type=int, default=3,
                         help="largest qubit count per party")
     args = parser.parse_args()
-    cfg = SurveyConfig(args.trials, args.planted_trials, args.seed,
-                       args.eps, args.max_side)
-    random_sweep(cfg)
-    planted_sweep(cfg)
+    random_sweep(args)
+    planted_sweep(args)
 
 
 if __name__ == "__main__":

@@ -44,7 +44,7 @@ from .linalg import (
     cluster_spectrum,
     hermitian_eig,
 )
-from .states import ChannelState, PureState, _read_only
+from .states import ChannelState, PureState, _grouped, _read_only, _ungrouped
 
 __all__ = [
     "DEFAULT_EPS",
@@ -211,9 +211,7 @@ def _assemble(w: np.ndarray, dc: np.ndarray) -> np.ndarray:
 
 def bipartition_matrix(channel: ChannelState) -> np.ndarray:
     """Amplitudes reshaped to a (sender x receiver) matrix in list order."""
-    st = channel.state
-    psi = st.amplitudes.reshape((2,) * st.n_qubits)
-    psi = np.transpose(psi, channel.alice + channel.bob)
+    psi = _grouped(channel.state, channel.alice + channel.bob)
     return psi.reshape(1 << len(channel.alice), 1 << len(channel.bob))
 
 
@@ -587,7 +585,4 @@ def canonical_state(channel: ChannelState, report: AnalysisReport) -> PureState:
     cols[rows[nonzero], nonzero] = values[nonzero]
     if basis is not None:  # back from the residual's eigenbasis: T = T'' (B (x) I)ᵀ
         cols = cols @ np.kron(basis, np.eye(1 << d)).T
-    cols = cols / np.linalg.norm(cols)
-    psi = cols.reshape((2,) * (m + n))
-    psi = np.transpose(psi, np.argsort(oriented.alice + oriented.bob))
-    return PureState(psi.reshape(-1))
+    return _ungrouped(cols / np.linalg.norm(cols), oriented.alice + oriented.bob)

@@ -20,8 +20,11 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import signal
+import stat
 import sys
 from itertools import chain
 
@@ -104,8 +107,8 @@ def decode_state(doc) -> tuple[PureState, tuple | None, tuple | None]:
         raise CliFailure(EXIT_MALFORMED, f"missing format tag '{_FORMAT}'")
     qubits = doc.get("qubits")
     amps = doc.get("amplitudes")
-    if not _is_int(qubits) or not 1 <= qubits <= 16:
-        raise CliFailure(EXIT_MALFORMED, "qubits must be an integer in 1..16")
+    if not _is_int(qubits) or not 1 <= qubits <= MAX_QUBITS:
+        raise CliFailure(EXIT_MALFORMED, f"qubits must be an integer in 1..{MAX_QUBITS}")
     if not isinstance(amps, list) or len(amps) != 1 << qubits:
         raise CliFailure(EXIT_MALFORMED, "amplitude count must equal 2**qubits")
     v = _amplitude_vector(amps)
@@ -155,10 +158,38 @@ def _state_text(state: PureState, alice=None, bob=None) -> str:
     return dump_document(doc).replace("null", f"[\n{amplitudes}\n  ]", 1)
 
 
+def _write_whole(path: str, pieces) -> None:
+    """Write text pieces to path all or nothing, with the bytes and
+    permission bits open(path, "w") would give.  An absent target or a
+    regular file is written to a temporary file beside it, which os.replace
+    then moves onto it, so a failed write leaves the target as it was and
+    removes only the temporary file; anything else, such as a device, is
+    written in place.  Raises OSError."""
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="ascii") as fp:
+            fp.writelines(pieces)
+        return
+    tmp = f"{target}.{os.urandom(4).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # less the umask, as open gives
+    try:
+        with open(fd, "w", encoding="ascii") as fp:
+            fp.writelines(pieces)
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def save_state_file(path: str, state: PureState, alice=None, bob=None) -> None:
-    text = _state_text(state, alice, bob)
-    with open(path, "w", encoding="ascii") as fp:
-        fp.write(text)
+    _write_whole(path, [_state_text(state, alice, bob)])
 
 
 def load_state_file(path: str):
@@ -223,8 +254,9 @@ _REPORT_BYTES_PER_ENTRY = 240
 
 def _write_report(path: str, report) -> None:
     """Write the --report document with the bytes of json.dumps(doc,
-    indent=2) plus a newline.  The text is built before the file is opened,
-    so a failure leaves no file."""
+    indent=2) plus a newline.  The text is built before the file is opened
+    and written all or nothing, so a refused or failed report leaves no new
+    file and an existing one as it was."""
     dim_a, dim_b = report._dims
     entries = dim_a * dim_a + dim_b * dim_b + (0 if report.eta is None else report.eta.size)
     _check_budget(entries * _REPORT_BYTES_PER_ENTRY, "the --report document")
@@ -246,8 +278,7 @@ def _write_report(path: str, report) -> None:
     for m, tail in zip((report.u_a, report.u_b, report.eta), tails):
         pieces += ["null" if m is None else _matrix_text(m), tail]
     try:
-        with open(path, "w", encoding="ascii") as fp:
-            fp.writelines(pieces)
+        _write_whole(path, pieces)
     except OSError as exc:
         raise CliFailure(EXIT_INFEASIBLE, f"cannot write {path}: {exc.strerror or exc}")
 

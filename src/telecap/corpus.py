@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_EPS, MAX_DIM, UNITARY_TOL, _check_eps
+from .linalg import DEFAULT_EPS, UNITARY_TOL, _check_eps
 from .states import (
     MAX_QUBITS,
     ChannelState,
@@ -54,8 +54,8 @@ __all__ = [
 
 def haar_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    if not 2 <= dim <= MAX_DIM:
-        raise ValueError(f"dimension must be 2..{MAX_DIM}")
+    if not 2 <= dim <= 1 << MAX_QUBITS:
+        raise ValueError(f"dimension must be 2..{1 << MAX_QUBITS}")
     return _haar_isometry(np.random.default_rng(seed), dim, dim)
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "MAX_DIM",
     "DEFAULT_EPS",
     "EigenvalueCluster",
     "SpectrumClusters",
@@ -24,7 +23,6 @@ __all__ = [
     "ABSENT_WEIGHT",
 ]
 
-MAX_DIM = 1 << 16           # 16-qubit cap on any matrix or product
 DEFAULT_EPS = 1e-9          # absolute, on trace-one spectra
 
 # Tolerances that more than one module applies, one name per meaning.

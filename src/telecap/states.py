@@ -2,7 +2,10 @@
 
 Qubit 0 is the most significant bit of a basis index: |q0 q1 ... q_{n-1}>
 sits at index sum_q bit_q * 2**(n-1-q).  Every routine in the package,
-including the file format, sticks to this convention.
+including the file format, sticks to this convention.  _grouped and
+_ungrouped are the only place where a list of qubits becomes matrix axes:
+every routine that acts on some qubits reads the amplitudes as a matrix
+whose rows run over those qubits, and maps the result back through them.
 """
 
 from __future__ import annotations
@@ -38,6 +41,32 @@ UNREACHABLE_PROBABILITY = ABSENT_WEIGHT
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _grouped(state: PureState, first) -> np.ndarray:
+    """The amplitudes as a (2**len(first), -1) matrix: rows run over the
+    listed qubits in list order, columns over the others in ascending order."""
+    n = state.n_qubits
+    rest = sorted(set(range(n)).difference(first))
+    psi = state.amplitudes.reshape((2,) * n).transpose([*first, *rest])
+    return psi.reshape(1 << len(first), -1)
+
+
+def _ungrouped(mat: np.ndarray, first) -> PureState:
+    """The state whose _grouped(state, first) is mat (any shape of that size)."""
+    n = mat.size.bit_length() - 1
+    rest = sorted(set(range(n)).difference(first))
+    return PureState(mat.reshape((2,) * n).transpose(np.argsort([*first, *rest])).reshape(-1))
+
+
+def _check_targets(targets, n: int) -> list[int]:
+    """targets as ints: distinct, non-empty and within the n qubits."""
+    targets = [int(q) for q in targets]
+    if len(set(targets)) != len(targets) or not targets:
+        raise ValueError("targets must be distinct and non-empty")
+    if min(targets) < 0 or max(targets) >= n:
+        raise ValueError("target qubit outside range")
+    return targets
 
 
 @dataclass(frozen=True)
@@ -142,23 +171,11 @@ def apply_unitary(state: PureState, u, targets) -> PureState:
     """
     if not linalg.is_unitary(u):
         raise ValueError("operator is not unitary within 1e-9")
-    targets = [int(q) for q in targets]
-    n = state.n_qubits
-    k = len(targets)
-    if len(set(targets)) != k or not targets:
-        raise ValueError("targets must be distinct and non-empty")
-    if min(targets) < 0 or max(targets) >= n:
-        raise ValueError("target qubit outside range")
+    targets = _check_targets(targets, state.n_qubits)
     u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (1 << k, 1 << k):
+    if u.shape != (1 << len(targets),) * 2:
         raise ValueError("operator dimension does not match target count")
-    rest = [q for q in range(n) if q not in set(targets)]
-    psi = state.amplitudes.reshape((2,) * n)
-    psi = np.transpose(psi, targets + rest).reshape(1 << k, -1)
-    psi = u @ psi
-    psi = psi.reshape((2,) * n)
-    psi = np.transpose(psi, np.argsort(targets + rest))
-    return PureState(psi.reshape(-1))
+    return _ungrouped(u @ _grouped(state, targets), targets)
 
 
 def tensor(states) -> PureState:
@@ -178,11 +195,9 @@ def tensor(states) -> PureState:
 def permute_qubits(state: PureState, new_from_old) -> PureState:
     """Reorder qubits: position j of the result holds old qubit new_from_old[j]."""
     perm = [int(q) for q in new_from_old]
-    n = state.n_qubits
-    if sorted(perm) != list(range(n)):
+    if sorted(perm) != list(range(state.n_qubits)):
         raise ValueError("new_from_old must be a permutation of all qubits")
-    psi = state.amplitudes.reshape((2,) * n)
-    return PureState(np.transpose(psi, perm).reshape(-1))
+    return PureState(_grouped(state, perm))
 
 
 def project_and_collapse(state: PureState, targets, basis, outcome: int):
@@ -193,33 +208,21 @@ def project_and_collapse(state: PureState, targets, basis, outcome: int):
     qubits stay in the measured basis state.  Outcomes with probability
     below 1e-12 are unreachable and collapse to None.
     """
-    targets = [int(q) for q in targets]
-    n = state.n_qubits
-    k = len(targets)
-    if len(set(targets)) != k or not targets:
-        raise ValueError("targets must be distinct and non-empty")
-    if min(targets) < 0 or max(targets) >= n:
-        raise ValueError("target qubit outside range")
+    targets = _check_targets(targets, state.n_qubits)
     mat = np.column_stack([b.amplitudes for b in basis])
-    if mat.shape[0] != 1 << k:
+    if mat.shape[0] != 1 << len(targets):
         raise ValueError("basis states do not match target count")
     gram = mat.conj().T @ mat
     if np.max(np.abs(gram - np.eye(mat.shape[1]))) > UNITARY_TOL:
         raise ValueError("projector basis is not orthonormal within 1e-9")
     if not 0 <= outcome < mat.shape[1]:
         raise ValueError("outcome index outside basis")
-    rest = [q for q in range(n) if q not in set(targets)]
-    psi = state.amplitudes.reshape((2,) * n)
-    psi = np.transpose(psi, targets + rest).reshape(1 << k, -1)
     b = mat[:, outcome]
-    coeffs = b.conj() @ psi
+    coeffs = b.conj() @ _grouped(state, targets)
     probability = float(np.real(np.vdot(coeffs, coeffs)))
     if probability < UNREACHABLE_PROBABILITY:
         return probability, None
-    collapsed = np.outer(b, coeffs / np.sqrt(probability))
-    collapsed = collapsed.reshape((2,) * n)
-    collapsed = np.transpose(collapsed, np.argsort(targets + rest))
-    return probability, PureState(collapsed.reshape(-1))
+    return probability, _ungrouped(np.outer(b, coeffs / np.sqrt(probability)), targets)
 
 
 def fidelity(a: PureState, b: PureState) -> float:

@@ -48,6 +48,8 @@ from .states import (
     UNREACHABLE_PROBABILITY,
     ChannelState,
     PureState,
+    _grouped,
+    _ungrouped,
     basis_state,
     bell_state,
     tensor,
@@ -199,8 +201,7 @@ def _round(state: PureState, qubits, method: str, outcome, rng):
     that pair's branch table: row norms are the outcome probabilities, and
     the chosen row, normalized, is the corrected rest of the state."""
     triple = [int(q) for q in qubits]
-    n = state.n_qubits
-    if len(set(triple)) != 3 or min(triple) < 0 or max(triple) >= n:
+    if len(set(triple)) != 3 or min(triple) < 0 or max(triple) >= state.n_qubits:
         raise ValueError("round qubits must be distinct and within the state")
     table = _branch_table(state, [triple], _PROTOCOLS[method].pair_operator)
     probs = np.einsum("rjs,rjs->r", table.conj(), table).real
@@ -214,9 +215,8 @@ def _round(state: PureState, qubits, method: str, outcome, rng):
     if probability < UNREACHABLE_PROBABILITY:
         return outcome, probability, None
     row = table[outcome] / np.sqrt(probability)
-    psi = np.multiply.outer(_PROTOCOLS[method].basis[outcome].amplitudes, row).reshape((2,) * n)
-    rest = [q for q in range(n) if q not in triple]
-    return outcome, probability, PureState(psi.transpose(np.argsort(triple + rest)).reshape(-1))
+    psi = np.multiply.outer(_PROTOCOLS[method].basis[outcome].amplitudes, row)
+    return outcome, probability, _ungrouped(psi, triple)
 
 
 def _prepare(channel: ChannelState, payload: PureState, report: AnalysisReport):
@@ -239,9 +239,7 @@ def _prepare(channel: ChannelState, payload: PureState, report: AnalysisReport):
     mat = bipartition_matrix(channel)
     if report._dims != mat.shape:
         raise ValueError("report's unitaries do not match the channel's parties")
-    order = channel.alice + channel.bob
-    psi = report._canonicalize(mat).reshape((2,) * len(order)).transpose(np.argsort(order))
-    joint = tensor([payload, PureState(psi.reshape(-1))])
+    joint = tensor([payload, _ungrouped(report._canonicalize(mat), channel.alice + channel.bob)])
     triples = [(t, a + k, b + k) for t, (a, b) in enumerate(report.pairs[:k])]
     return joint, triples
 
@@ -260,10 +258,8 @@ def _branch_table(joint: PureState, triples, pair_operator: np.ndarray) -> np.nd
     at the end gathers the outcomes ahead of the receiver halves.  So no
     pair moves an axis, and the table is the same size as the joint state.
     """
-    k, n = len(triples), joint.n_qubits
-    grouped = [q for triple in triples for q in triple]
-    rest = [q for q in range(n) if q not in set(grouped)]
-    psi = joint.amplitudes.reshape((2,) * n).transpose(grouped + rest)
+    k = len(triples)
+    psi = _grouped(joint, [q for triple in triples for q in triple])
     op = pair_operator.reshape(8, 8)
     for t in range(k):
         psi = op @ psi.reshape(8 ** t, 8, -1)

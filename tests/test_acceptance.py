@@ -27,10 +27,16 @@ where stated, its wall-clock budget:
    uniform quarter per outcome.
 9. The CLI exit-code contract (0..5) holds and state files are a
    byte-stable save/load fixed point.
+10. Every split up to the 16-qubit cap works: a planted m|n channel with
+    d in {0, min(m, n)} analyzes to d, is certified at d and not at d + 1,
+    and, where a 1-qubit payload fits beside it, teleports it with every
+    branch at fidelity 1 (within 1e-12).  Every split with m + n = 16
+    runs; of the smaller sizes, a seeded half of the splits per size.
 """
 
 import itertools
 import json
+import random
 import time
 
 import numpy as np
@@ -39,6 +45,7 @@ import pytest
 from oracle import expansion_identity_defect, spectral_capacity
 from telecap.capacity import (
     analyze,
+    certify,
     entanglement_entropy,
     max_capacity,
     reduced_density,
@@ -274,3 +281,22 @@ def test_criterion_9_cli_contract(tmp_path, capsys):
     assert run("teleport", noisy, "--eps", 0.1)[0] == 5
 
     _stamp(9, "exit codes 0..5 and byte-stable files", t0)
+
+
+@pytest.mark.parametrize("total", range(2, 17))
+def test_criterion_10_every_split_up_to_the_cap(total):
+    t0 = time.monotonic()
+    splits = [(m, total - m) for m in range(1, total)]
+    if total < 16:
+        splits = random.Random(total).sample(splits, (len(splits) + 1) // 2)
+    for m, n in splits:
+        for d in sorted({0, min(m, n)}):
+            ch = generate_planted(m, n, d, seed=16 * m + n).channel
+            rep = analyze(ch)
+            assert rep.capacity == d, (m, n, d)
+            assert certify(ch, d)[1] is True, (m, n, d)
+            assert not certify(ch, d + 1)[1], (m, n, d)
+            if d and total < 16:
+                res = teleport_bell(ch, random_pure_state(1, seed=m * n), rep)
+                assert res.min_fidelity >= 1 - 1e-12, (m, n, d)
+    _stamp(10, f"{len(splits)} planted {total}-qubit splits at d = 0 and min(m, n)", t0)

@@ -2,6 +2,7 @@ import errno
 import json
 import os
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -55,6 +56,13 @@ def planted_file(tmp_path, run):
     code, _, _ = run("generate", 2, 2, 1, "--seed", 7, "-o", path)
     assert code == EXIT_OK
     return str(path)
+
+
+def child_env():
+    """The environment for a child python that imports this telecap."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def write_doc(tmp_path, name, doc):
@@ -292,6 +300,61 @@ class TestGenerateCommand:
         assert code == EXIT_INFEASIBLE and "0..min" in err
 
 
+# Runs each argv (a JSON list of lists) through main in one child process
+# whose writes stop at 8 KiB, and prints the exit codes as the last line.
+_CAPPED_RUNS = """
+import json, resource, sys
+from telecap.cli import main
+resource.setrlimit(resource.RLIMIT_FSIZE, (8192, 8192))
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+class TestAllOrNothingOutputs:
+    def test_failed_writes_leave_no_trace(self, tmp_path):
+        pytest.importorskip("resource")
+        channel = tmp_path / "c42.json"
+        ch = generate_planted(4, 2, 1, seed=3).channel
+        save_state_file(str(channel), ch.state, ch.alice, ch.bob)
+        old = tmp_path / "old.json"
+        old.write_bytes(b"old bytes\n")
+        old.chmod(0o640)
+        argvs = [["analyze", str(channel), "--report", str(tmp_path / "r.json")],
+                 ["generate", "9", "1", "1", "-o", str(tmp_path / "big.json")],
+                 ["analyze", str(channel), "--report", str(old)],
+                 ["generate", "9", "1", "1", "-o", str(old)]]
+        device = os.path.exists("/dev/full")
+        if device:
+            argvs.append(["analyze", str(channel), "--report", "/dev/full"])
+        before = sorted(os.listdir(tmp_path))
+        proc = subprocess.run([sys.executable, "-c", _CAPPED_RUNS, json.dumps(argvs)],
+                              capture_output=True, text=True, env=child_env(), timeout=60)
+        assert json.loads(proc.stdout.splitlines()[-1]) == [EXIT_INFEASIBLE] * len(argvs)
+        assert proc.stderr.count("error: cannot write ") == len(argvs)
+        assert "Traceback" not in proc.stderr
+        assert sorted(os.listdir(tmp_path)) == before
+        assert old.read_bytes() == b"old bytes\n"
+        assert stat.S_IMODE(old.stat().st_mode) == 0o640
+        if device:
+            assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
+
+    def test_written_files_get_open_permissions(self, tmp_path):
+        umask = os.umask(0o022)
+        os.umask(umask)
+        state = n_bell_channel(1).state
+        new, old, link = tmp_path / "new.json", tmp_path / "old.json", tmp_path / "link.json"
+        save_state_file(str(new), state)
+        old.write_bytes(b"old bytes\n")
+        old.chmod(0o640)
+        link.symlink_to(old)
+        save_state_file(str(link), state)
+        assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+        assert stat.S_IMODE(old.stat().st_mode) == 0o640
+        assert link.is_symlink()
+        assert old.read_bytes() == new.read_bytes() == state_file_json(state).encode()
+        assert sorted(os.listdir(tmp_path)) == ["link.json", "new.json", "old.json"]
+
+
 class TestDemoGhz:
     def test_runs(self, run):
         for qubits, split in ((5, 2), (14, 13)):
@@ -489,12 +552,9 @@ class TestArgumentHandling:
         # a closed pipe must not read as exit 1, a capacity shortfall
         read_end, write_end = os.pipe()
         os.close(read_end)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         try:
             proc = subprocess.run([sys.executable, "-m", "telecap", *argv], stdout=write_end,
-                                  stderr=subprocess.PIPE, env=env, timeout=60)
+                                  stderr=subprocess.PIPE, env=child_env(), timeout=60)
         finally:
             os.close(write_end)
         assert proc.stderr == b""
