@@ -49,7 +49,6 @@ from .states import ChannelState, PureState, _grouped, _read_only, _ungrouped
 __all__ = [
     "DEFAULT_EPS",
     "DENSE_BUDGET_BYTES",
-    "ZERO_EIGENVALUE",
     "AnalysisReport",
     "bipartition_matrix",
     "reduced_density",
@@ -62,8 +61,6 @@ __all__ = [
     "certify",
     "canonical_state",
 ]
-
-ZERO_EIGENVALUE = ABSENT_WEIGHT  # branch weight below this is treated as absent
 
 _GS_ACCEPT = 1e-7  # Gram-Schmidt residual norm below which columns are dependent
 _FACTOR_TOL = 1e-10  # spectral-norm defect allowed in u_a's small factors
@@ -358,7 +355,7 @@ def _targets(eta_hat: np.ndarray, u_b: np.ndarray, m: int, n: int, d: int, bell_
         u_b = np.kron(basis.conj().T, np.eye(1 << d)) @ u_b
     order = np.argsort(-mu, kind="stable")
     mu = mu[order]
-    labels = np.flatnonzero(np.clip(mu, 0.0, None) > ZERO_EIGENVALUE)
+    labels = np.flatnonzero(np.clip(mu, 0.0, None) > ABSENT_WEIGHT)
     da_res = 1 << (m - d)
     if labels.size and labels[-1] >= da_res:
         raise ArithmeticError("residual rank exceeds the sender's ancilla space")
@@ -469,7 +466,7 @@ def _sender_unitary(channel: ChannelState, u_b: np.ndarray, rows: np.ndarray,
     """
     source = bipartition_matrix(channel) @ u_b.T
     weights = np.einsum("ak,ak->k", source.conj(), source).real
-    keep = np.flatnonzero(weights > ZERO_EIGENVALUE)
+    keep = np.flatnonzero(weights > ABSENT_WEIGHT)
     s, rows, values = source[:, keep], rows[keep], values[keep]
     if 2 * keep.size >= s.shape[0]:
         u_a = _permuted_frame(_completed_frame(s), rows, values)
@@ -485,7 +482,7 @@ def _sender_unitary(channel: ChannelState, u_b: np.ndarray, rows: np.ndarray,
     c = _completed_frame(wh @ t) @ _completed_frame(wh @ s).conj().T
     k = c.shape[0]
     tol = _FACTOR_TOL / k
-    if not linalg.is_unitary(c, tol) or np.max(np.abs(wh @ w - np.eye(k))) > tol:
+    if not linalg.is_unitary(c, tol) or linalg._unitarity_defect(w) > tol:
         raise ArithmeticError("synthesized sender unitary failed the unitarity check")
     c[np.diag_indices(k)] -= 1.0
     return None, (_read_only(w), _read_only(c))

@@ -32,6 +32,7 @@ import numpy as np
 
 from .capacity import DEFAULT_EPS, _check_budget, _two_adic, analyze, certify
 from .corpus import generate_planted, ghz_canonical_form, ghz_channel, ghz_cnot_chain
+from .linalg import NORM_TOL
 from .states import MAX_QUBITS, ChannelState, PureState, fidelity, random_pure_state
 from .teleport import CapacityShortfall, teleport_bell, teleport_circuit
 
@@ -60,7 +61,6 @@ EXIT_FIDELITY = 5
 FIDELITY_FLOOR = 1.0 - 1e-6
 
 _FORMAT = "telecap-state"
-_RENORM_WARN = 1e-9
 _RENORM_REJECT = 1e-6
 
 
@@ -117,7 +117,7 @@ def decode_state(doc) -> tuple[PureState, tuple | None, tuple | None]:
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > _RENORM_REJECT:
         raise CliFailure(EXIT_NORM, f"state norm {norm:.9f} is off by more than 1e-6")
-    if abs(norm - 1.0) > _RENORM_WARN:
+    if abs(norm - 1.0) > NORM_TOL:
         print(f"warning: renormalizing state (norm deviation {abs(norm - 1.0):.3e})",
               file=sys.stderr)
         v = v / norm
@@ -137,25 +137,39 @@ def dump_document(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-# One [re, im] pair as json.dumps(..., indent=2) lays it out in a state
-# file; %r of a Python float is the shortest round-trip repr that json uses
-# for finite floats.  Under indent, json falls back to its pure-Python
-# encoder, which costs seconds on a 16-qubit state.
-_PAIR = "    [\n      %r,\n      %r\n    ]"
+def _pairs_text(a: np.ndarray) -> str:
+    """A complex array as a value of a dump_document object: nested lists
+    of [re, im] pairs, with the bytes json.dumps(..., indent=2) gives them.
+    Under indent, json falls back to its pure-Python encoder, which costs
+    seconds on a 16-qubit state, so one format string fills in every pair;
+    %r of a Python float is the shortest round-trip repr that json uses for
+    finite floats."""
+    shape = a.shape + (2,)
+    text = "%r"
+    for depth in range(len(shape), 0, -1):  # the lists at this depth, innermost first
+        item = "\n" + "  " * (depth + 1)
+        text = f"[{item}" + f",{item}".join([text] * shape[depth - 1]) + "\n" + "  " * depth + "]"
+    return text % tuple(np.ravel(a).view(np.float64).tolist())
 
 
-def _state_text(state: PureState, alice=None, bob=None) -> str:
-    """A state file's text in one pass, with the bytes that json.dumps(doc,
-    indent=2) plus a newline gives: json lays out the few scalar fields
-    around an amplitudes placeholder, and one format string fills in every
-    pair."""
+def _document_pieces(doc: dict, arrays) -> list[str]:
+    """dump_document(doc) as text pieces, its null values filled in order
+    by the arrays' pairs (a None array stays null).  No key or other value
+    of doc may print as null."""
+    head, *tails = dump_document(doc).split("null")
+    pieces = [head]
+    for a, tail in zip(arrays, tails):
+        pieces += ["null" if a is None else _pairs_text(a), tail]
+    return pieces
+
+
+def _state_pieces(state: PureState, alice=None, bob=None) -> list[str]:
+    """A state file's text in pieces: json.dumps(doc, indent=2) plus a newline."""
     doc = {"format": _FORMAT, "qubits": state.n_qubits, "amplitudes": None}
     if alice is not None or bob is not None:
         doc["alice"] = [int(q) for q in alice]
         doc["bob"] = [int(q) for q in bob]
-    pairs = ",\n".join([_PAIR] * state.amplitudes.size)
-    amplitudes = pairs % tuple(state.amplitudes.view(np.float64).tolist())
-    return dump_document(doc).replace("null", f"[\n{amplitudes}\n  ]", 1)
+    return _document_pieces(doc, [state.amplitudes])
 
 
 def _write_whole(path: str, pieces) -> None:
@@ -189,7 +203,7 @@ def _write_whole(path: str, pieces) -> None:
 
 
 def save_state_file(path: str, state: PureState, alice=None, bob=None) -> None:
-    _write_whole(path, [_state_text(state, alice, bob)])
+    _write_whole(path, _state_pieces(state, alice, bob))
 
 
 def load_state_file(path: str):
@@ -236,16 +250,6 @@ def _print_analysis(report) -> None:
         print(f"pair {t}: alice_qubit={a} bob_qubit={b}")
 
 
-def _matrix_text(m: np.ndarray) -> str:
-    """A report matrix's text in one pass, with the bytes json.dumps(...,
-    indent=2) gives its nested [re, im] lists at the document's top level:
-    one format string fills in every pair."""
-    pair = "      [\n        %r,\n        %r\n      ]"
-    row = "    [\n" + ",\n".join([pair] * m.shape[1]) + "\n    ]"
-    text = "[\n" + ",\n".join([row] * m.shape[0]) + "\n  ]"
-    return text % tuple(np.ravel(m).view(np.float64).tolist())
-
-
 # Peak bytes per complex matrix entry while the --report text is built: the
 # format string, the floats and the text.  Measured under tracemalloc at 200
 # on planted 6|1 and 7|1 and at 218 on 8|1 and 9|1.
@@ -273,10 +277,7 @@ def _write_report(path: str, report) -> None:
         "bob_relabeling": list(report.bob_relabeling),
         "u_a": None, "u_b": None, "eta": None,
     }
-    head, *tails = dump_document(doc).split("null")  # the three matrices' slots
-    pieces = [head]
-    for m, tail in zip((report.u_a, report.u_b, report.eta), tails):
-        pieces += ["null" if m is None else _matrix_text(m), tail]
+    pieces = _document_pieces(doc, (report.u_a, report.u_b, report.eta))
     try:
         _write_whole(path, pieces)
     except OSError as exc:
@@ -375,7 +376,7 @@ def _cmd_generate(args) -> int:
         print(f"planted capacity={d} qubits={m}+{n} seed={args.seed} "
               f"file={args.output}")
     else:
-        sys.stdout.write(_state_text(ch.state, ch.alice, ch.bob))
+        sys.stdout.writelines(_state_pieces(ch.state, ch.alice, ch.bob))
     return EXIT_OK
 
 
@@ -452,6 +453,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     if not 0.0 < args.eps < 1.0:
         print("error: --eps must be a finite number in (0, 1)", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    if getattr(args, "seed", 0) < 0:  # analyze and verify take no seed
+        print("error: --seed must be a non-negative integer", file=sys.stderr)
         return EXIT_INFEASIBLE
     try:
         return args.fn(args)

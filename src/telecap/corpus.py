@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_EPS, UNITARY_TOL, _check_eps
+from .linalg import DEFAULT_EPS, UNITARY_TOL, _check_eps, _unitarity_defect
 from .states import (
     MAX_QUBITS,
     ChannelState,
@@ -79,8 +79,7 @@ def _scramble_rows(mat: np.ndarray, seed) -> np.ndarray:
     isometry V of the same shape, whose k x k Gram matrix is checked."""
     q, r = np.linalg.qr(mat)
     v = _haar_isometry(np.random.default_rng(seed), *q.shape)
-    gram = v.conj().T @ v
-    if np.max(np.abs(gram - np.eye(gram.shape[0]))) > UNITARY_TOL:
+    if _unitarity_defect(v) > UNITARY_TOL:
         raise ArithmeticError("drawn isometry is not orthonormal within 1e-9")
     return v @ r
 

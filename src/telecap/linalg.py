@@ -50,12 +50,18 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _unitarity_defect(m: np.ndarray) -> float:
+    """max|M†M - I| for a square matrix or a set of columns: how far M is
+    from unitary, or its columns from orthonormal, in max norm."""
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))))
+
+
 def is_unitary(u, tol: float = UNITARY_TOL) -> bool:
     """Max-norm test of U†U = I."""
     u = _as_matrix(u, "u")
     if u.shape[0] != u.shape[1]:
         raise ValueError("u must be square")
-    return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= tol)
+    return bool(_unitarity_defect(u) <= tol)
 
 
 def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:

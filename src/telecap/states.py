@@ -15,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import ABSENT_WEIGHT, NORM_TOL, UNITARY_TOL
+from .linalg import ABSENT_WEIGHT, NORM_TOL, UNITARY_TOL, _unitarity_defect
 
 __all__ = [
     "MAX_QUBITS",
     "NORM_TOL",
-    "UNREACHABLE_PROBABILITY",
     "PureState",
     "ChannelState",
     "bell_state",
@@ -35,7 +34,6 @@ __all__ = [
 ]
 
 MAX_QUBITS = 16
-UNREACHABLE_PROBABILITY = ABSENT_WEIGHT
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -212,15 +210,14 @@ def project_and_collapse(state: PureState, targets, basis, outcome: int):
     mat = np.column_stack([b.amplitudes for b in basis])
     if mat.shape[0] != 1 << len(targets):
         raise ValueError("basis states do not match target count")
-    gram = mat.conj().T @ mat
-    if np.max(np.abs(gram - np.eye(mat.shape[1]))) > UNITARY_TOL:
+    if _unitarity_defect(mat) > UNITARY_TOL:
         raise ValueError("projector basis is not orthonormal within 1e-9")
     if not 0 <= outcome < mat.shape[1]:
         raise ValueError("outcome index outside basis")
     b = mat[:, outcome]
     coeffs = b.conj() @ _grouped(state, targets)
     probability = float(np.real(np.vdot(coeffs, coeffs)))
-    if probability < UNREACHABLE_PROBABILITY:
+    if probability < ABSENT_WEIGHT:
         return probability, None
     return probability, _ungrouped(np.outer(b, coeffs / np.sqrt(probability)), targets)
 

@@ -43,9 +43,9 @@ from functools import cached_property
 import numpy as np
 
 from .capacity import DEFAULT_EPS, AnalysisReport, _check_budget, analyze, bipartition_matrix
+from .linalg import ABSENT_WEIGHT
 from .states import (
     MAX_QUBITS,
-    UNREACHABLE_PROBABILITY,
     ChannelState,
     PureState,
     _grouped,
@@ -212,7 +212,7 @@ def _round(state: PureState, qubits, method: str, outcome, rng):
     elif outcome not in (0, 1, 2, 3):
         raise ValueError("raw outcome must be 0..3")
     probability = float(probs[outcome])
-    if probability < UNREACHABLE_PROBABILITY:
+    if probability < ABSENT_WEIGHT:
         return outcome, probability, None
     row = table[outcome] / np.sqrt(probability)
     psi = np.multiply.outer(_PROTOCOLS[method].basis[outcome].amplitudes, row)
@@ -421,7 +421,7 @@ def _teleport(channel, payload, report, method, mode, seed, trials, eps):
     table = _branch_table(joint, triples, protocol.pair_operator)
     probabilities = np.einsum("rjs,rjs->r", table.conj(), table).real
     if mode == "exhaustive":
-        indices = np.flatnonzero(probabilities > UNREACHABLE_PROBABILITY)
+        indices = np.flatnonzero(probabilities > ABSENT_WEIGHT)
     else:
         indices = _sampled_indices(probabilities, k, seed, trials)
     # fidelity <payload| rho_r |payload> of the receiver's normalized marginal

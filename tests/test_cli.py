@@ -31,6 +31,7 @@ from telecap.cli import (
 )
 from telecap.corpus import generate_planted, n_bell_channel
 from telecap.states import PureState, basis_state, random_pure_state
+from telecap.teleport import teleport_bell
 
 
 @pytest.fixture
@@ -101,6 +102,19 @@ class TestAnalyzeCommand:
         assert cluster["multiplicity"] == 2 and cluster["v2"] == 1
         u_b = np.array([[complex(re, im) for re, im in row] for row in doc["u_b"]])
         assert np.max(np.abs(u_b.conj().T @ u_b - np.eye(2))) < 1e-9
+
+    @pytest.mark.parametrize("m,n,d,factored,swapped", [
+        (3, 3, 1, False, False), (6, 1, 1, True, False), (2, 4, 2, True, True)],
+        ids=["dense", "factored", "swapped"])
+    def test_report_has_json_dumps_bytes(self, run, tmp_path, m, n, d, factored, swapped):
+        ch = generate_planted(m, n, d, seed=5).channel
+        rep = analyze(ch)
+        assert (rep._purifier_factors is not None, rep.swapped) == (factored, swapped)
+        path, report = tmp_path / "c.json", tmp_path / "r.json"
+        save_state_file(str(path), ch.state, ch.alice, ch.bob)
+        assert run("analyze", path, "--report", report)[0] == EXIT_OK
+        text = report.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
     def test_missing_file(self, run, tmp_path):
         code, _, err = run("analyze", tmp_path / "nope.json")
@@ -209,6 +223,29 @@ class TestTeleportCommand:
                            "--trials", 5, "--seed", 3, "--method", "circuit")
         assert code == EXIT_OK
         assert len([l for l in out.splitlines() if l.startswith("branch ")]) == 5
+
+    def test_sampled_run_prints_every_trial(self, run, tmp_path):
+        # every trial prints its own line, rendered from the seeded result
+        ch, payload = generate_planted(5, 5, 4, seed=3).channel, random_pure_state(4, seed=9)
+        path, payload_path = tmp_path / "c.json", tmp_path / "p.json"
+        save_state_file(str(path), ch.state, ch.alice, ch.bob)
+        save_state_file(str(payload_path), payload)
+        trials = 20000
+        code, out, _ = run("teleport", path, payload_path, "--mode", "sample",
+                           "--trials", trials, "--seed", 3)
+        assert code == EXIT_OK
+        rep = analyze(ch)
+        res = teleport_bell(ch, payload, rep, mode="sample", trials=trials,
+                            seed=np.random.SeedSequence(3).spawn(2)[1])
+        assert len(res.branches) == trials
+        lines = [f"entropy={rep.entropy_bits:.6f} capacity={rep.capacity}",
+                 f"payload_qubits=4 method=bell branches={trials}"]
+        for b in res.branches:
+            bits = "".join(f"{r:02b}" for r in b.outcomes)
+            lines.append(f"branch message={bits} probability={b.probability:.9f} "
+                         f"fidelity={b.fidelity:.12f}")
+        lines.append(f"min_fidelity={res.min_fidelity:.12f}")
+        assert out == "\n".join(lines) + "\n"
 
     def test_sampled_trials_refused_above_budget(self, run, bell_file, monkeypatch):
         # 1000 trials at teleport._TRIAL_BYTES: 720,000 bytes
@@ -539,6 +576,16 @@ class TestArgumentHandling:
         code, out, err = run(argv[0], path, *argv[1:], "--eps", eps)
         assert code == EXIT_INFEASIBLE and out == ""
         assert err.count("\n") == 1 and "--eps" in err
+
+    @pytest.mark.parametrize("argv", [["teleport", "CHANNEL", "--seed", "-5"],
+                                      ["demo-ghz", "2", "1", "--seed", "-2"],
+                                      ["generate", "2", "2", "1", "--seed", "-1"]],
+                             ids=["teleport", "demo-ghz", "generate"])
+    def test_negative_seed(self, run, bell_file, argv):
+        # numpy's own message named no option
+        code, out, err = run(*[bell_file if a == "CHANNEL" else a for a in argv])
+        assert code == EXIT_INFEASIBLE and out == ""
+        assert err == "error: --seed must be a non-negative integer\n"
 
     def test_unknown_command_exits_two(self, bell_file):
         with pytest.raises(SystemExit) as exc:

@@ -110,3 +110,14 @@ class TestGuards:
     def test_is_unitary(self):
         assert linalg.is_unitary(np.eye(4))
         assert not linalg.is_unitary(np.eye(4) * 1.0001)
+
+    def test_unitarity_defect(self):
+        # one measure for square matrices and column sets, compared with tol
+        u = np.eye(3) * 1.0001
+        defect = linalg._unitarity_defect(u)
+        assert type(defect) is float and defect == pytest.approx(2.0001e-4, rel=1e-12)
+        assert linalg.is_unitary(u, defect) is True
+        assert linalg.is_unitary(u, np.nextafter(defect, 0)) is False  # bool under a numpy tol
+        cols = np.linalg.qr(random_density(3, 13))[0][:, :3]
+        assert linalg._unitarity_defect(cols) < 1e-14
+        assert linalg._unitarity_defect(2.0 * cols) == pytest.approx(3.0, abs=1e-14)
