@@ -41,13 +41,21 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _grouped(state: PureState, first) -> np.ndarray:
+def _grouped(state, first, labels=None) -> np.ndarray:
     """The amplitudes as a (2**len(first), -1) matrix: rows run over the
-    listed qubits in list order, columns over the others in ascending order."""
-    n = state.n_qubits
+    listed qubits in list order, columns over the others in ascending order.
+
+    state is a PureState, or an array of 2**n amplitudes whose axes, read
+    big-endian, hold the qubits listed in labels (by default 0 .. n-1 in
+    order), so an array built in another order needs no PureState first.
+    """
+    psi = state.amplitudes if isinstance(state, PureState) else state
+    n = psi.size.bit_length() - 1
     rest = sorted(set(range(n)).difference(first))
-    psi = state.amplitudes.reshape((2,) * n).transpose([*first, *rest])
-    return psi.reshape(1 << len(first), -1)
+    order = [*first, *rest]
+    if labels is not None:
+        order = np.argsort(labels)[order]
+    return psi.reshape((2,) * n).transpose(order).reshape(1 << len(first), -1)
 
 
 def _ungrouped(mat: np.ndarray, first) -> PureState:
@@ -55,6 +63,22 @@ def _ungrouped(mat: np.ndarray, first) -> PureState:
     n = mat.size.bit_length() - 1
     rest = sorted(set(range(n)).difference(first))
     return PureState(mat.reshape((2,) * n).transpose(np.argsort([*first, *rest])).reshape(-1))
+
+
+def _check_unit(norm: float) -> None:
+    """Raise unless a state's norm is within NORM_TOL of 1."""
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError("state is not unit norm within 1e-9")
+
+
+def _unit_norm(v: np.ndarray) -> float:
+    """The norm of amplitudes v, once they pass the checks every PureState
+    makes: finite entries, unit norm within NORM_TOL."""
+    if not np.isfinite(v).all():
+        raise ValueError("amplitudes contain non-finite entries")
+    norm = np.linalg.norm(v)
+    _check_unit(norm)
+    return norm
 
 
 def _check_targets(targets, n: int) -> list[int]:
@@ -80,10 +104,7 @@ class PureState:
             raise ValueError("amplitude count must be 2**n for n >= 1")
         if n > MAX_QUBITS:
             raise ValueError(f"states are capped at {MAX_QUBITS} qubits")
-        if not np.isfinite(v).all():
-            raise ValueError("amplitudes contain non-finite entries")
-        if abs(np.linalg.norm(v) - 1.0) > NORM_TOL:
-            raise ValueError("state is not unit norm within 1e-9")
+        _unit_norm(v)
         object.__setattr__(self, "amplitudes", _read_only(v.copy()))
 
     @property
@@ -188,6 +209,24 @@ def tensor(states) -> PureState:
     for s in states[1:]:
         v = np.multiply.outer(v, s.amplitudes).reshape(-1)
     return PureState(v)
+
+
+def _tensor_grouped(head: PureState, tail: np.ndarray, labels, first) -> np.ndarray:
+    """_grouped(tensor([head, s]), first), where s is the state whose
+    amplitudes, with axes in labels order, are tail: one outer product and
+    one copying transpose, with no state built for s or the product.
+
+    Both pass the checks those two states and tensor would make: tail is
+    finite and of unit norm, the product holds at most MAX_QUBITS qubits,
+    and its norm, head's times tail's, is 1 within NORM_TOL.
+    """
+    norm = _unit_norm(tail)
+    k = head.n_qubits
+    if k + tail.size.bit_length() - 1 > MAX_QUBITS:
+        raise ValueError(f"tensor product exceeds {MAX_QUBITS} qubits")
+    _check_unit(np.linalg.norm(head.amplitudes) * norm)
+    psi = np.multiply.outer(head.amplitudes, tail)
+    return _grouped(psi, first, [*range(k), *(q + k for q in labels)])
 
 
 def permute_qubits(state: PureState, new_from_old) -> PureState:

@@ -14,17 +14,22 @@ flavour first applies the standard two-qubit measurement circuit and reads
 both qubits in the computational basis.  The two differ only in how the
 classical two-bit message is labeled.
 
-Every branch comes from one table.  One transpose groups the joint state
-by pair, each pair's (message, sender half, receiver half) axes side by
-side.  Per used pair, one batched matmul with an 8 x 8 operator then turns
-that triple, where it sits, into an outcome and the corrected receiver
-half.  So after k pairs the unnormalized amplitudes of all 4**k branches
-sit in an array no larger than the joint state.  Branch probabilities are
-the squared norms of its rows and fidelities their overlaps with the
-payload; exhaustive mode still reports all 4**k branches, and sample mode
-draws each round's outcome from the table's conditional probabilities.
-bell_round and circuit_round read one round off the same table, built for
-a single pair of an arbitrary state.
+Every branch comes from one table.  The joint state is built straight in
+the layout the walk needs: one outer product of the payload with the
+canonicalized (sender x receiver) matrix, and one copying transpose that
+groups it by pair, each pair's (message, sender half, receiver half) axes
+side by side; no intermediate state is built.  Per used pair, one batched
+matmul with an 8 x 8 operator then turns that triple, where it sits, into
+an outcome and the corrected receiver half.  So after k pairs the
+unnormalized amplitudes of all 4**k branches sit in an array no larger
+than the joint state.  Branch probabilities are the squared norms of its
+rows and fidelities their overlaps with the payload; exhaustive mode still
+reports all 4**k branches, and sample mode draws each round's outcome from
+the table's conditional probabilities.  Each record takes its outcome and
+correction tuples from a table indexed by branch number, built once per
+(method, k), so records of the same branch share them.  bell_round and
+circuit_round read one round off the same walk, run for a single pair of
+an arbitrary state.
 
 Outcome index conventions, per pair:
 
@@ -36,9 +41,10 @@ Outcome index conventions, per pair:
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -49,10 +55,10 @@ from .states import (
     ChannelState,
     PureState,
     _grouped,
+    _tensor_grouped,
     _ungrouped,
     basis_state,
     bell_state,
-    tensor,
 )
 
 __all__ = [
@@ -140,6 +146,9 @@ _PROTOCOLS = {
 }
 
 
+_PAIR_BITS = ("00", "01", "10", "11")
+
+
 @dataclass(frozen=True)
 class BranchOutcome:
     """One classical branch of a protocol run.
@@ -158,7 +167,7 @@ class BranchOutcome:
     @property
     def bits(self) -> str:
         """Classical message: two bits per pair, in measurement order."""
-        return "".join(f"{r:02b}" for r in self.outcomes)
+        return "".join(map(_PAIR_BITS.__getitem__, self.outcomes))
 
 
 @dataclass(frozen=True)
@@ -203,7 +212,7 @@ def _round(state: PureState, qubits, method: str, outcome, rng):
     triple = [int(q) for q in qubits]
     if len(set(triple)) != 3 or min(triple) < 0 or max(triple) >= state.n_qubits:
         raise ValueError("round qubits must be distinct and within the state")
-    table = _branch_table(state, [triple], _PROTOCOLS[method].pair_operator)
+    table = _branch_table(_grouped(state, triple), _PROTOCOLS[method].pair_operator)
     probs = np.einsum("rjs,rjs->r", table.conj(), table).real
     if outcome is None:
         if rng is None:
@@ -219,15 +228,18 @@ def _round(state: PureState, qubits, method: str, outcome, rng):
     return outcome, probability, _ungrouped(psi, triple)
 
 
-def _prepare(channel: ChannelState, payload: PureState, report: AnalysisReport):
-    """Canonicalized joint state (payload qubits first) and the shifted
-    (message, sender half, receiver half) triple per used pair.
+def _prepare(channel: ChannelState, payload: PureState, report: AnalysisReport) -> np.ndarray:
+    """The canonicalized joint state (payload qubits first), grouped by
+    used pair as _branch_table walks it: shape (8**k, rest).
 
     The local unitaries act on the channel's (sender x receiver) amplitude
     matrix before the payload joins, so their cost does not grow with the
     payload.  Where analyze kept the purifier's factors, the party sizes
     are read from them and the purifier is applied through them, so the
-    dense 2**m x 2**m purifier is never assembled.
+    dense 2**m x 2**m purifier is never assembled.  The payload then joins
+    that matrix in one outer product, and one copying transpose groups the
+    product: pair t's (message t, sender half, receiver half) axes side by
+    side, pair 0 first, then the qubits no pair uses, in ascending order.
     """
     k = payload.n_qubits
     if k > report.capacity:
@@ -239,33 +251,43 @@ def _prepare(channel: ChannelState, payload: PureState, report: AnalysisReport):
     mat = bipartition_matrix(channel)
     if report._dims != mat.shape:
         raise ValueError("report's unitaries do not match the channel's parties")
-    joint = tensor([payload, _ungrouped(report._canonicalize(mat), channel.alice + channel.bob)])
-    triples = [(t, a + k, b + k) for t, (a, b) in enumerate(report.pairs[:k])]
-    return joint, triples
+    first = [q for t, (a, b) in enumerate(report.pairs[:k]) for q in (t, a + k, b + k)]
+    return _tensor_grouped(payload, report._canonicalize(mat), channel.alice + channel.bob, first)
 
 
-def _branch_table(joint: PureState, triples, pair_operator: np.ndarray) -> np.ndarray:
-    """Unnormalized amplitudes of every branch, shape (4**k, 2**k, rest).
+def _branch_table(psi: np.ndarray, pair_operator: np.ndarray) -> np.ndarray:
+    """Unnormalized amplitudes of every branch, shape (4**k, 2**k, rest),
+    from a state grouped by pair as _prepare returns it: shape (8**k,
+    rest), each pair's (message, sender half, receiver half) axes side by
+    side, pair 0 first.
 
     Axis 0 packs the raw outcomes, pair 0 most significant; axis 1 holds
     the receiver halves in pair order, already corrected; axis 2 runs over
-    the qubits the protocol leaves alone, in ascending order.  One
-    transpose groups the joint state by pair: each pair's (message, sender
-    half, receiver half) axes side by side, pair 0 first, then the rest.
-    Pair t is then one batched matmul of the protocol's 8 x 8 pair operator
-    with the state viewed as (8**t, 8, -1), which turns its triple, where
-    it sits, into an (outcome, corrected receiver half) pair; one transpose
-    at the end gathers the outcomes ahead of the receiver halves.  So no
-    pair moves an axis, and the table is the same size as the joint state.
+    the qubits the protocol leaves alone, in the input's order.  Pair t is
+    one batched matmul of the protocol's 8 x 8 pair operator with the state
+    viewed as (8**t, 8, -1), which turns its triple, where it sits, into an
+    (outcome, corrected receiver half) pair; one transpose at the end
+    gathers the outcomes ahead of the receiver halves.  So no pair moves an
+    axis, and the table is the same size as the joint state.
     """
-    k = len(triples)
-    psi = _grouped(joint, [q for triple in triples for q in triple])
+    k = (len(psi).bit_length() - 1) // 3
     op = pair_operator.reshape(8, 8)
     for t in range(k):
         psi = op @ psi.reshape(8 ** t, 8, -1)
     psi = psi.reshape((4, 2) * k + (-1,))
     order = [*range(0, 2 * k, 2), *range(1, 2 * k, 2), 2 * k]
     return psi.transpose(order).reshape(1 << (2 * k), 1 << k, -1)
+
+
+@cache
+def _branch_labels(method: str, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """(outcomes, corrections) of every branch of a k-pair run, indexed by
+    branch number (pair 0 most significant), as the tuples BranchOutcome
+    holds.  Data-independent, so one table per (method, k) serves every
+    run; the qubit cap bounds k, hence the table at 4**5 rows."""
+    fixes = _PROTOCOLS[method].corrections
+    outcomes = tuple(itertools.product(range(4), repeat=k))
+    return outcomes, tuple(tuple(fixes[r] for r in o) for o in outcomes)
 
 
 # numpy's SeedSequence hash (bit_generator.pyx) and PCG64 multiplier
@@ -389,22 +411,32 @@ def _sampled_indices(probabilities: np.ndarray, k: int, seed, trials: int) -> np
     return index
 
 
-# Peak bytes per sampled trial while its branch record is built, the
-# record included.  Measured under tracemalloc at 100,000 trials over Bell
-# stacks: 595 with a 4-qubit payload, 653 with 5 qubits, the most that fit
-# the qubit cap beside their pairs; printing the records adds no peak.
-_TRIAL_BYTES = 720
+# Peak bytes of a sampled run, measured under tracemalloc over Bell stacks
+# and planted channels up to the qubit cap.  Per trial, the generator
+# streams _trial_uniforms derives outweigh the record the trial leaves (160
+# bytes): 288 bytes with a 1-qubit payload, 96 more per payload qubit, so
+# 672 with 5 qubits, the most that fit the cap beside their pairs.  Per
+# run: the walk's two copies of the joint state, plus the channel's matrix
+# and its canonical form while the payload joins (at most half a copy
+# each, with a 1-qubit payload), plus at most 32 KiB of small arrays and
+# objects.
+_TRIAL_BYTES = 680
+_JOINT_COPIES = 3
+_RUN_BYTES = 1 << 15
 
 
-def _check_trials(trials) -> int:
-    """trials as an int of at least 1 whose records fit the memory budget."""
+def _check_trials(trials, qubits: int) -> int:
+    """trials as an int of at least 1 whose run, over a joint state of
+    that many qubits, fits the memory budget."""
     try:
         count = operator.index(trials)
     except TypeError:
         count = 0
     if isinstance(trials, bool) or count < 1:
         raise ValueError(f"trials must be an integer of at least 1, not {trials!r}")
-    _check_budget(count * _TRIAL_BYTES, f"the record of {count:,} sampled trials")
+    joint = np.dtype(np.complex128).itemsize << qubits
+    need = count * _TRIAL_BYTES + _JOINT_COPIES * joint + _RUN_BYTES
+    _check_budget(need, f"the run of {count:,} sampled trials")
     return count
 
 
@@ -412,13 +444,11 @@ def _teleport(channel, payload, report, method, mode, seed, trials, eps):
     if mode not in ("exhaustive", "sample"):
         raise ValueError("mode must be 'exhaustive' or 'sample'")
     if mode == "sample":
-        trials = _check_trials(trials)
+        trials = _check_trials(trials, channel.state.n_qubits + payload.n_qubits)
     if report is None:
         report = analyze(channel, eps)
-    joint, triples = _prepare(channel, payload, report)
-    k = len(triples)
-    protocol = _PROTOCOLS[method]
-    table = _branch_table(joint, triples, protocol.pair_operator)
+    k = payload.n_qubits
+    table = _branch_table(_prepare(channel, payload, report), _PROTOCOLS[method].pair_operator)
     probabilities = np.einsum("rjs,rjs->r", table.conj(), table).real
     if mode == "exhaustive":
         indices = np.flatnonzero(probabilities > ABSENT_WEIGHT)
@@ -428,10 +458,10 @@ def _teleport(channel, payload, report, method, mode, seed, trials, eps):
     overlaps = np.einsum("j,rjs->rs", payload.amplitudes.conj(), table)
     captured = np.einsum("rs,rs->r", overlaps.conj(), overlaps).real
     fidelities = captured[indices] / probabilities[indices]
-    outcomes = np.stack(np.unravel_index(indices, (4,) * k), axis=1)
-    corrections = np.asarray(protocol.corrections)[outcomes]
-    branches = tuple(map(BranchOutcome, map(tuple, outcomes.tolist()),
-                         map(tuple, corrections.tolist()),
+    outcomes, corrections = _branch_labels(method, k)
+    rows = indices.tolist()
+    branches = tuple(map(BranchOutcome, map(outcomes.__getitem__, rows),
+                         map(corrections.__getitem__, rows),
                          probabilities[indices].tolist(), fidelities.tolist()))
     return TeleportResult(method, report.capacity, payload.n_qubits, branches)
 
@@ -449,8 +479,9 @@ def teleport_bell(channel: ChannelState, payload: PureState,
     list is first made a SeedSequence).  A SeedSequence seed is read, not
     advanced, so the runs are a pure function of it, as default_rng(seed)
     is; runs that would take its spawn count to 2**32 raise ValueError.
-    trials must be an integer of at least 1 whose records fit the memory
-    budget, else ValueError is raised before any work.  The payload may use
+    trials must be an integer of at least 1, and the sampled run (the
+    walk's copies of the joint state plus each trial's streams and record)
+    must fit the memory budget, else ValueError is raised before any work.  The payload may use
     any number of qubits up to the channel capacity; an oversized payload
     raises CapacityShortfall.
     """

@@ -307,6 +307,45 @@ def expansion_identity_defect(psi: PureState) -> float:
     return float(np.max(np.abs(lhs + 0.5 * acc)))
 
 
+def grouped_joint_state(channel: ChannelState, payload: np.ndarray, report) -> np.ndarray:
+    """The canonicalized joint state payload (x) channel, laid out for the
+    branch walk: rows run over (payload qubit t, sender half, receiver
+    half) of pair t = 0 .. k-1, pair 0 most significant; columns over the
+    other joint qubits in ascending label order.
+
+    The channel's amplitudes are moved to (sender list, receiver list)
+    order index by index, multiplied by the dense u_a (x) u_b, and moved
+    back; the payload goes in front, and each joint index is split into
+    its row and column bit by bit.
+    """
+    k = int(np.log2(payload.size))
+    n = channel.state.n_qubits
+    total = k + n
+    nb = len(channel.bob)
+
+    def bits_of(index, qubits, width):
+        value = 0
+        for q in qubits:
+            value = (value << 1) | (index >> (width - 1 - q) & 1)
+        return value
+
+    local = [(bits_of(i, channel.alice, n) << nb) | bits_of(i, channel.bob, n)
+             for i in range(1 << n)]
+    listed = np.zeros(1 << n, dtype=complex)
+    for i in range(1 << n):
+        listed[local[i]] = channel.state.amplitudes[i]
+    listed = np.kron(report.u_a, report.u_b) @ listed
+    first = [q for t, (a, b) in enumerate(report.pairs[:k]) for q in (t, a + k, b + k)]
+    rest = [q for q in range(total) if q not in first]
+    out = np.zeros((1 << len(first), 1 << len(rest)), dtype=complex)
+    for p in range(1 << k):
+        for i in range(1 << n):
+            joint = (p << n) | i
+            out[bits_of(joint, first, total), bits_of(joint, rest, total)] = (
+                payload[p] * listed[local[i]])
+    return out
+
+
 def sequential_teleport(channel: ChannelState, payload: np.ndarray, report, method: str,
                         zero: float = 1e-12):
     """Every branch of a protocol run, replayed one round at a time.

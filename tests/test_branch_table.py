@@ -1,5 +1,5 @@
-"""The pair-grouped branch table against the sequential oracle, its
-memory, the types of its records, sampled outcome sequences pinned from
+"""The pair-grouped joint state against an index-loop oracle, the
+pair-grouped branch table against the sequential oracle, its memory, the types of its records, sampled outcome sequences pinned from
 the round-by-round simulator, and the trials' derived generator streams
 against numpy's own generators."""
 
@@ -9,12 +9,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracle import sequential_teleport, spawned_uniforms
+from oracle import grouped_joint_state, sequential_teleport, spawned_uniforms
 from telecap.capacity import analyze
 from telecap.corpus import generate_planted, ghz_channel, n_bell_channel
 from telecap.states import ChannelState, permute_qubits, random_pure_state
 from telecap.teleport import (
+    _JOINT_COPIES,
+    _RUN_BYTES,
     _TRIAL_BYTES,
+    _prepare,
     _sampled_indices,
     _trial_uniforms,
     teleport_bell,
@@ -100,6 +103,27 @@ def test_interleaved_labels_match_sequential_oracle(m, n, d, alice, bob, method)
     assert report.capacity == d
     for k in range(1, d + 1):
         _assert_matches_oracle(channel, random_pure_state(k, seed=910 + k), report, method)
+
+
+@pytest.mark.parametrize("m,n,d,alice,bob,swapped,factored", [
+    (3, 3, 3, (3, 0, 5), (1, 4, 2), False, False),
+    (3, 3, 2, (5, 4, 3), (2, 1, 0), False, False),
+    (2, 3, 2, (4, 0), (3, 1, 2), True, False),
+    (2, 4, 2, (5, 1), (0, 3, 4, 2), True, True),
+    (4, 2, 2, (2, 5, 0, 3), (4, 1), False, True),
+    (1, 5, 1, (3,), (5, 0, 4, 1, 2), True, True),
+], ids=["permuted", "reversed", "swapped", "swapped-factored", "factored", "lopsided"])
+def test_prepare_matches_grouped_oracle(m, n, d, alice, bob, swapped, factored):
+    channel = _relabelled(generate_planted(m, n, d, seed=7 * m + n).channel, alice, bob)
+    report = analyze(channel)
+    assert (report.capacity, report.swapped) == (d, swapped)
+    assert (report._purifier_factors is not None) == factored
+    for k in range(1, d + 1):
+        payload = random_pure_state(k, seed=920 + k)
+        got = _prepare(channel, payload, report)
+        want = grouped_joint_state(channel, payload.amplitudes, report)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12, k
 
 
 @pytest.mark.parametrize("kwargs", [{}, {"mode": "sample", "seed": 5, "trials": 256}],
@@ -272,15 +296,17 @@ def test_sample_mode_builds_no_generator(monkeypatch, method):
 
 
 def test_trial_estimate_bounds_its_peak():
-    # 4-qubit payload over a Bell stack: the channel's own arrays are small,
-    # so the peak is the trials' records
-    channel, payload = n_bell_channel(4), random_pure_state(4, seed=5)
-    report = analyze(channel)
+    # k-qubit payloads over Bell stacks, 5 the most the qubit cap admits:
+    # the peak is the walk's joint-state copies plus the trials' streams
     trials = 10000
-    tracemalloc.start()
-    try:
-        teleport_bell(channel, payload, report, mode="sample", seed=1, trials=trials)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert trials * _TRIAL_BYTES / 2 < peak <= trials * _TRIAL_BYTES
+    for k in (4, 5):
+        channel, payload = n_bell_channel(k), random_pure_state(k, seed=5)
+        report = analyze(channel)
+        estimate = trials * _TRIAL_BYTES + _JOINT_COPIES * 16 * 2 ** (3 * k) + _RUN_BYTES
+        tracemalloc.start()
+        try:
+            teleport_bell(channel, payload, report, mode="sample", seed=1, trials=trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert estimate / 2 < peak <= estimate, k

@@ -248,11 +248,11 @@ class TestTeleportCommand:
         assert out == "\n".join(lines) + "\n"
 
     def test_sampled_trials_refused_above_budget(self, run, bell_file, monkeypatch):
-        # 1000 trials at teleport._TRIAL_BYTES: 720,000 bytes
+        # 1000 trials at teleport._TRIAL_BYTES, plus the run's fixed bytes: 713,152
         monkeypatch.setattr(capacity, "DENSE_BUDGET_BYTES", 1 << 19)
         code, out, err = run("teleport", bell_file, "--mode", "sample", "--trials", 1000)
         assert code == EXIT_INFEASIBLE and "capacity=1" in out and "branch" not in out
-        assert err == ("error: the record of 1,000 sampled trials needs 720,000 bytes, "
+        assert err == ("error: the run of 1,000 sampled trials needs 713,152 bytes, "
                        "above the 524,288-byte budget\n")
         code, out, _ = run("teleport", bell_file, "--mode", "sample", "--trials", 700)
         assert code == EXIT_OK and " branches=700\n" in out

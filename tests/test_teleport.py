@@ -10,6 +10,8 @@ from telecap import capacity, linalg, teleport
 from telecap.capacity import analyze
 from telecap.corpus import generate_planted, ghz_channel, n_bell_channel
 from telecap.states import (
+    ChannelState,
+    PureState,
     apply_unitary,
     basis_state,
     bell_state,
@@ -302,10 +304,11 @@ class TestSampling:
         calls = self._count_work(monkeypatch)
         monkeypatch.setattr(capacity, "DENSE_BUDGET_BYTES", 1 << 19)
         ch, payload = n_bell_channel(1), random_pure_state(1, 1)
-        # 1000 trials at _TRIAL_BYTES: 720,000 bytes
+        # 1000 trials at _TRIAL_BYTES, _JOINT_COPIES 3-qubit joint states
+        # and _RUN_BYTES: 680,000 + 384 + 32,768 bytes
         for run in (teleport_bell, teleport_circuit):
-            with pytest.raises(ValueError, match="^the record of 1,000 sampled trials needs "
-                                                 "720,000 bytes, above the 524,288-byte budget$"):
+            with pytest.raises(ValueError, match="^the run of 1,000 sampled trials needs "
+                                                 "713,152 bytes, above the 524,288-byte budget$"):
                 run(ch, payload, mode="sample", seed=1, trials=1000)
         assert calls == []
         assert len(teleport_bell(ch, payload, mode="sample", seed=1, trials=700).branches) == 700
@@ -371,6 +374,40 @@ class TestReportChecks:
         ch, rep, payload = self._planted()
         calls = self._count_checks(monkeypatch, ch, rep, payload)
         assert len(calls) == 1 and calls[0] is rep.u_b
+
+    def test_channel_and_payload_over_the_cap_rejected(self):
+        # a 16-qubit channel leaves no room for even a 1-qubit payload
+        ch = generate_planted(8, 8, 1, seed=88).channel
+        rep = analyze(ch)
+        assert rep.capacity == 1
+        for run in (teleport_bell, teleport_circuit):
+            with pytest.raises(ValueError, match="^tensor product exceeds 16 qubits$"):
+                run(ch, random_pure_state(1, 3), rep)
+
+    def test_report_that_stretches_the_channel_rejected(self):
+        # 4|4 channel sum_i sqrt(w_i) |i> |h_i>, h_i the Hadamard-basis
+        # states, h_0 spread evenly over the computational basis
+        weights = (0.3, 0.3, 0.2, 0.2)
+        hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        h4 = hadamard
+        for _ in range(3):
+            h4 = np.kron(h4, hadamard)
+        mat = np.zeros((16, 16), dtype=complex)
+        for i, w in enumerate(weights):
+            mat[i] = np.sqrt(w) * h4[:, i]
+        ch = ChannelState(PureState(mat.reshape(-1)), (0, 1, 2, 3), (4, 5, 6, 7))
+        rep = analyze(ch)
+        assert rep.capacity == 1
+        # u_b (I + eps N v v†) with v = h_0 passes the unitarity check but
+        # stretches h_0, which carries weight 0.3, by 1 + 16 eps, so the
+        # canonicalized channel's norm is off by about 2.4e-9
+        eps = 4.9e-10
+        stretched = rep.u_b @ (np.eye(16) + eps * np.ones((16, 16)))
+        assert linalg.is_unitary(stretched)
+        bad = dataclasses.replace(rep, u_b=stretched)
+        for run in (teleport_bell, teleport_circuit):
+            with pytest.raises(ValueError, match="^state is not unit norm within 1e-9$"):
+                run(ch, random_pure_state(1, 3), bad)
 
     def test_replaced_report_checks_both_sides(self, monkeypatch):
         ch, rep, payload = self._planted()
