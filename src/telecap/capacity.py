@@ -208,7 +208,7 @@ def _assemble(w: np.ndarray, dc: np.ndarray) -> np.ndarray:
 
 def bipartition_matrix(channel: ChannelState) -> np.ndarray:
     """Amplitudes reshaped to a (sender x receiver) matrix in list order."""
-    psi = _grouped(channel.state, channel.alice + channel.bob)
+    psi = _grouped(channel.state.amplitudes, channel.alice + channel.bob)
     return psi.reshape(1 << len(channel.alice), 1 << len(channel.bob))
 
 

@@ -41,15 +41,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _grouped(state, first, labels=None) -> np.ndarray:
-    """The amplitudes as a (2**len(first), -1) matrix: rows run over the
-    listed qubits in list order, columns over the others in ascending order.
+def _grouped(psi: np.ndarray, first, labels=None) -> np.ndarray:
+    """Amplitudes psi (2**n of them) as a (2**len(first), -1) matrix: rows
+    run over the listed qubits in list order, columns over the others in
+    ascending order.
 
-    state is a PureState, or an array of 2**n amplitudes whose axes, read
-    big-endian, hold the qubits listed in labels (by default 0 .. n-1 in
-    order), so an array built in another order needs no PureState first.
+    psi's axes, read big-endian, hold the qubits listed in labels (by
+    default 0 .. n-1 in order), so an array built in another order needs
+    no PureState first.
     """
-    psi = state.amplitudes if isinstance(state, PureState) else state
     n = psi.size.bit_length() - 1
     rest = sorted(set(range(n)).difference(first))
     order = [*first, *rest]
@@ -59,7 +59,8 @@ def _grouped(state, first, labels=None) -> np.ndarray:
 
 
 def _ungrouped(mat: np.ndarray, first) -> PureState:
-    """The state whose _grouped(state, first) is mat (any shape of that size)."""
+    """The state whose _grouped(state.amplitudes, first) is mat (any shape
+    of that size)."""
     n = mat.size.bit_length() - 1
     rest = sorted(set(range(n)).difference(first))
     return PureState(mat.reshape((2,) * n).transpose(np.argsort([*first, *rest])).reshape(-1))
@@ -194,7 +195,7 @@ def apply_unitary(state: PureState, u, targets) -> PureState:
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (1 << len(targets),) * 2:
         raise ValueError("operator dimension does not match target count")
-    return _ungrouped(u @ _grouped(state, targets), targets)
+    return _ungrouped(u @ _grouped(state.amplitudes, targets), targets)
 
 
 def tensor(states) -> PureState:
@@ -212,9 +213,10 @@ def tensor(states) -> PureState:
 
 
 def _tensor_grouped(head: PureState, tail: np.ndarray, labels, first) -> np.ndarray:
-    """_grouped(tensor([head, s]), first), where s is the state whose
-    amplitudes, with axes in labels order, are tail: one outer product and
-    one copying transpose, with no state built for s or the product.
+    """_grouped(tensor([head, s]).amplitudes, first), where s is the state
+    whose amplitudes, with axes in labels order, are tail: one outer
+    product and one copying transpose, with no state built for s or the
+    product.
 
     Both pass the checks those two states and tensor would make: tail is
     finite and of unit norm, the product holds at most MAX_QUBITS qubits,
@@ -234,7 +236,7 @@ def permute_qubits(state: PureState, new_from_old) -> PureState:
     perm = [int(q) for q in new_from_old]
     if sorted(perm) != list(range(state.n_qubits)):
         raise ValueError("new_from_old must be a permutation of all qubits")
-    return PureState(_grouped(state, perm))
+    return PureState(_grouped(state.amplitudes, perm))
 
 
 def project_and_collapse(state: PureState, targets, basis, outcome: int):
@@ -254,7 +256,7 @@ def project_and_collapse(state: PureState, targets, basis, outcome: int):
     if not 0 <= outcome < mat.shape[1]:
         raise ValueError("outcome index outside basis")
     b = mat[:, outcome]
-    coeffs = b.conj() @ _grouped(state, targets)
+    coeffs = b.conj() @ _grouped(state.amplitudes, targets)
     probability = float(np.real(np.vdot(coeffs, coeffs)))
     if probability < ABSENT_WEIGHT:
         return probability, None

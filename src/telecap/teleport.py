@@ -27,7 +27,7 @@ rows and fidelities their overlaps with the payload; exhaustive mode still
 reports all 4**k branches, and sample mode draws each round's outcome from
 the table's conditional probabilities.  Each record takes its outcome and
 correction tuples from a table indexed by branch number, built once per
-(method, k), so records of the same branch share them.  bell_round and
+run, so records of the same branch share them.  bell_round and
 circuit_round read one round off the same walk, run for a single pair of
 an arbitrary state.
 
@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -212,7 +212,7 @@ def _round(state: PureState, qubits, method: str, outcome, rng):
     triple = [int(q) for q in qubits]
     if len(set(triple)) != 3 or min(triple) < 0 or max(triple) >= state.n_qubits:
         raise ValueError("round qubits must be distinct and within the state")
-    table = _branch_table(_grouped(state, triple), _PROTOCOLS[method].pair_operator)
+    table = _branch_table(_grouped(state.amplitudes, triple), _PROTOCOLS[method].pair_operator)
     probs = np.einsum("rjs,rjs->r", table.conj(), table).real
     if outcome is None:
         if rng is None:
@@ -279,15 +279,14 @@ def _branch_table(psi: np.ndarray, pair_operator: np.ndarray) -> np.ndarray:
     return psi.transpose(order).reshape(1 << (2 * k), 1 << k, -1)
 
 
-@cache
-def _branch_labels(method: str, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def _branch_labels(method: str, k: int) -> tuple[list[tuple[int, ...]], ...]:
     """(outcomes, corrections) of every branch of a k-pair run, indexed by
     branch number (pair 0 most significant), as the tuples BranchOutcome
-    holds.  Data-independent, so one table per (method, k) serves every
-    run; the qubit cap bounds k, hence the table at 4**5 rows."""
+    holds.  Built once per run, so the records of one branch share them;
+    the qubit cap bounds k, hence the tables at 4**5 rows."""
     fixes = _PROTOCOLS[method].corrections
-    outcomes = tuple(itertools.product(range(4), repeat=k))
-    return outcomes, tuple(tuple(fixes[r] for r in o) for o in outcomes)
+    return (list(itertools.product(range(4), repeat=k)),
+            list(itertools.product(fixes, repeat=k)))
 
 
 # numpy's SeedSequence hash (bit_generator.pyx) and PCG64 multiplier
@@ -419,7 +418,10 @@ def _sampled_indices(probabilities: np.ndarray, k: int, seed, trials: int) -> np
 # run: the walk's two copies of the joint state, plus the channel's matrix
 # and its canonical form while the payload joins (at most half a copy
 # each, with a 1-qubit payload), plus at most 32 KiB of small arrays and
-# objects.
+# objects.  The run's branch labels (4**k rows of about 180 bytes) are
+# built after the walk, beside the one copy left: about 9 KiB at k = 3,
+# under one copy for k >= 4.  A joint state over the qubit cap is sized
+# at the cap, so the checks that refuse it still decide.
 _TRIAL_BYTES = 680
 _JOINT_COPIES = 3
 _RUN_BYTES = 1 << 15
@@ -427,14 +429,14 @@ _RUN_BYTES = 1 << 15
 
 def _check_trials(trials, qubits: int) -> int:
     """trials as an int of at least 1 whose run, over a joint state of
-    that many qubits, fits the memory budget."""
+    that many qubits (at most MAX_QUBITS), fits the memory budget."""
     try:
         count = operator.index(trials)
     except TypeError:
         count = 0
     if isinstance(trials, bool) or count < 1:
         raise ValueError(f"trials must be an integer of at least 1, not {trials!r}")
-    joint = np.dtype(np.complex128).itemsize << qubits
+    joint = np.dtype(np.complex128).itemsize << min(qubits, MAX_QUBITS)
     need = count * _TRIAL_BYTES + _JOINT_COPIES * joint + _RUN_BYTES
     _check_budget(need, f"the run of {count:,} sampled trials")
     return count

@@ -269,6 +269,14 @@ class TestTeleportCommand:
         code, _, err = run("teleport", bell_file, payload)
         assert code == EXIT_CAPACITY and "teleports 1" in err
 
+    def test_sampled_oversized_payload_on_full_channel(self, run, tmp_path):
+        channel, payload = tmp_path / "c88.json", tmp_path / "p10.json"
+        assert run("generate", 8, 8, 1, "--seed", 3, "-o", channel)[0] == EXIT_OK
+        save_state_file(str(payload), random_pure_state(10, 5))
+        code, out, err = run("teleport", channel, payload, "--mode", "sample", "--trials", 1)
+        assert code == EXIT_CAPACITY and "branch" not in out
+        assert err == "error: payload has 10 qubits but the channel teleports 1\n"
+
     def test_capacity_zero_channel(self, run, tmp_path):
         doc = bell_doc()
         doc["amplitudes"] = [[0.5, 0.0], [0.5, 0.0], [0.5, 0.0], [0.5, 0.0]]

@@ -380,9 +380,16 @@ class TestReportChecks:
         ch = generate_planted(8, 8, 1, seed=88).channel
         rep = analyze(ch)
         assert rep.capacity == 1
+        sample = {"mode": "sample", "seed": 1, "trials": 1}
         for run in (teleport_bell, teleport_circuit):
-            with pytest.raises(ValueError, match="^tensor product exceeds 16 qubits$"):
-                run(ch, random_pure_state(1, 3), rep)
+            for kwargs in ({}, sample):
+                with pytest.raises(ValueError, match="^tensor product exceeds 16 qubits$"):
+                    run(ch, random_pure_state(1, 3), rep, **kwargs)
+            # 26 qubits in all, whose joint state alone would outweigh the
+            # budget: the capacity check, not the trial budget, refuses it
+            with pytest.raises(CapacityShortfall, match="^payload has 10 qubits but the "
+                                                        "channel teleports 1$"):
+                run(ch, random_pure_state(10, 3), rep, **sample)
 
     def test_report_that_stretches_the_channel_rejected(self):
         # 4|4 channel sum_i sqrt(w_i) |i> |h_i>, h_i the Hadamard-basis
