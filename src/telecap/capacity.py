@@ -5,9 +5,14 @@ The receiving side's reduced density matrix decides everything.  A channel
 teleports d qubits faithfully exactly when some local unitary on that side
 factors the reduced density into (residual density) (x) I/2**d, which the
 spectrum permits iff every eigenvalue multiplicity is divisible by 2**d.
-The sending side's unitary then follows from the freedom of purification:
-two pure states with the same reduced density on one side differ only by a
-unitary on the other side.
+analyze decomposes that density once: the clusters are read off its
+eigenvalues and the factoring unitary is V†, V its eigenvectors.  The
+sending side's unitary then follows from the freedom of purification: two
+pure states with the same reduced density on one side differ only by a
+unitary on the other side.  The report keeps that purifier as analyze
+built and checked it, dense or as low-rank factors, and canonicalizes a
+channel itself (AnalysisReport._canonicalize), so the teleport module
+never handles the two forms apart.
 
 Conventions fixed here and relied on by the teleport module:
 
@@ -83,8 +88,8 @@ def _check_budget(nbytes: int, what: str) -> None:
 
 class _Unitary:
     """Data descriptor for a report's u_a and u_b fields: the stored
-    matrix, except that the purifying side of a report holding the
-    purifier's factors stores None and is assembled on first read, then
+    matrix, except that the purifying side of a report whose purifier is
+    kept as factors stores None and is assembled on first read, then
     cached."""
 
     def __set_name__(self, owner, name):
@@ -94,15 +99,40 @@ class _Unitary:
         if report is None:
             raise AttributeError(self.name)  # so the dataclass field has no default
         m = report.__dict__[self.name]
-        if m is None and report._purifier_factors is not None:
-            m = report.__dict__[self.name] = _read_only(_assemble(*report._purifier_factors))
+        if m is None and report._purifier is not None:
+            m = report.__dict__[self.name] = _read_only(report._purifier.dense())
         return m
 
     def __set__(self, report, value):
         report.__dict__[self.name] = value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class _LowRank:
+    """The purifier I + W D W† kept as its factors W and D = C - I, both
+    read-only: it multiplies a matrix of 2**n columns in O(2**m r 2**n),
+    2**m its dimension, instead of the dense O(4**m 2**n)."""
+
+    w: np.ndarray
+    dc: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.w.shape[0], self.w.shape[0]
+
+    def __matmul__(self, mat: np.ndarray) -> np.ndarray:
+        return mat + self.w @ (self.dc @ (self.w.conj().T @ mat))
+
+    def dense(self) -> np.ndarray:
+        """The dense 2**m x 2**m matrix, refused above DENSE_BUDGET_BYTES."""
+        dim = self.w.shape[0]
+        _check_budget(dim * dim * np.dtype(np.complex128).itemsize, "the dense purifier")
+        u = self.w @ self.dc @ self.w.conj().T
+        u[np.diag_indices(dim)] += 1.0
+        return u
+
+
+@dataclass(frozen=True, eq=False)
 class AnalysisReport:
     """Everything the analyzer decides about one channel.
 
@@ -113,18 +143,19 @@ class AnalysisReport:
     lists, role by role (Bell halves first, then residual), which slot of
     Bob's list plays that role after canonicalization.  pairs gives the
     global qubit labels (alice_qubit, bob_qubit) of the d Bell pairs.
+    Reports compare by identity.
 
     The report holds read-only matrices, so writing to the caller's arrays
     afterwards does not change it: a complex128 array that is already
     read-only and owns its data is adopted as it is, anything else is
-    copied.  analyze marks the purifying unitary (u_a, or u_b when
-    swapped) as already checked.  When it built that unitary as
-    I + W (C - I) W†, the report keeps only the factors W and C - I:
-    _canonicalize applies the purifier through them, and reading the u_a
-    (or u_b) field assembles the dense 2**m x 2**m matrix once, within
-    DENSE_BUDGET_BYTES, and caches it.  Neither the mark nor the factors
-    is an init field, so dataclasses.replace (which reads the dense field)
-    and hand-built reports start unmarked and without factors.
+    copied.  analyze keeps the purifying unitary (u_a, or u_b when
+    swapped) that it built and checked as _purifier: the dense matrix, or
+    the factors of I + W (C - I) W†.  _canonicalize applies the purifier
+    through it, factors included, and reading the u_a (or u_b) field of a
+    factored report assembles the dense 2**m x 2**m matrix once, within
+    DENSE_BUDGET_BYTES, and caches it.  _purifier is not an init field,
+    so dataclasses.replace (which reads the dense field) and hand-built
+    reports start without it, and their purifier is checked densely.
     """
 
     entropy_bits: float
@@ -136,9 +167,7 @@ class AnalysisReport:
     bob_relabeling: tuple[int, ...]
     pairs: tuple[tuple[int, int], ...]
     swapped: bool
-    _purifier_checked: bool = field(default=False, init=False, repr=False, compare=False)
-    _purifier_factors: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    _purifier: np.ndarray | _LowRank | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("u_a", "u_b", "eta"):
@@ -160,34 +189,29 @@ class AnalysisReport:
         """
         structural, purifying = ("u_a", "u_b") if self.swapped else ("u_b", "u_a")
         return linalg.is_unitary(getattr(self, structural)) and (
-            self._purifier_checked or linalg.is_unitary(getattr(self, purifying)))
-
-    @property
-    def _dims(self) -> tuple[int, int]:
-        """(sender, receiver) dimensions of u_a and u_b, read from the
-        purifier's factors where the report keeps them."""
-        mats = [self.__dict__[name] for name in ("u_a", "u_b")]
-        if self._purifier_factors is not None:  # W has the purifier's rows
-            mats[self.swapped] = self._purifier_factors[0]
-        return mats[0].shape[0], mats[1].shape[0]
+            self._purifier is not None or linalg.is_unitary(getattr(self, purifying)))
 
     def _canonicalize(self, mat: np.ndarray) -> np.ndarray:
         """u_a mat u_bᵀ for a (sender x receiver) amplitude matrix: the
         channel after both local unitaries.
 
-        With the purifier's factors the purifier costs O(2**m r 2**n),
-        2**m the larger party's dimension, instead of the dense
-        O(4**m 2**n): it acts as mat + W (D (W† mat)) on the sender's side,
-        or, when swapped, as mat + ((mat W̄) Dᵀ) Wᵀ on the receiver's.
+        Raises ValueError unless both unitaries pass the unitary check and
+        match the matrix's party sizes.  The matrix is oriented with the
+        purifying (larger) party's rows; the structural unitary acts on its
+        columns first, then the purifier, through its factors where analyze
+        kept them, on its rows.
         """
-        if self._purifier_factors is None:
-            return self.u_a @ mat @ self.u_b.T
-        w, dc = self._purifier_factors
+        if not self.unitary:
+            raise ValueError("report's u_a or u_b is not unitary within 1e-9")
+        structural, purifying = ("u_a", "u_b") if self.swapped else ("u_b", "u_a")
+        purifier = getattr(self, purifying) if self._purifier is None else self._purifier
+        u_struct = getattr(self, structural)
         if self.swapped:
-            mat = self.u_a @ mat
-            return mat + ((mat @ w.conj()) @ dc.T) @ w.T
-        mat = mat @ self.u_b.T
-        return mat + w @ (dc @ (w.conj().T @ mat))
+            mat = mat.T
+        if (purifier.shape[0], u_struct.shape[0]) != mat.shape:
+            raise ValueError("report's unitaries do not match the channel's parties")
+        mat = purifier @ (mat @ u_struct.T)
+        return mat.T if self.swapped else mat
 
 
 def _adoptable(m) -> bool:
@@ -195,15 +219,6 @@ def _adoptable(m) -> bool:
     array that nobody can write through."""
     return (type(m) is np.ndarray and m.dtype == np.complex128
             and not m.flags.writeable and m.flags.owndata)
-
-
-def _assemble(w: np.ndarray, dc: np.ndarray) -> np.ndarray:
-    """The dense purifier I + W D W† from its factors W and D = C - I."""
-    dim = w.shape[0]
-    _check_budget(dim * dim * np.dtype(np.complex128).itemsize, "the dense purifier")
-    u = w @ dc @ w.conj().T
-    u[np.diag_indices(dim)] += 1.0
-    return u
 
 
 def bipartition_matrix(channel: ChannelState) -> np.ndarray:
@@ -248,22 +263,16 @@ def max_capacity(clusters: SpectrumClusters, m: int, n: int) -> int:
     return min(d, m, n)
 
 
-def _relabeling(n: int, d: int) -> tuple[int, ...]:
-    """Receiver slot of each canonical role: the trailing d slots hold the
-    Bell halves, the leading n - d the residual."""
-    return tuple(range(n - d, n)) + tuple(range(n - d))
-
-
-def synthesize_u_b(channel: ChannelState, clusters: SpectrumClusters, d: int):
+def synthesize_u_b(channel: ChannelState, clusters: SpectrumClusters, eigenvectors, d: int):
     """Receiver-side unitary factoring the reduced density at capacity d.
 
-    The clusters' eigenvectors (descending) are mapped onto the computational
-    basis in order, which lays each cluster out as consecutive residual
-    labels times a full uniform block on the trailing d qubits.  Returns
-    (u_b, eta, relabeling); eta is the diagonal residual density (cluster
-    values scaled by 2**d), absent when d equals the receiver's qubit count.
-    The relabeling tuple records which of Bob's slots ends up playing each
-    canonical role (d Bell halves first, then the residual).
+    u_b = V†, V the eigenvector matrix (columns, eigenvalues descending)
+    of the one decomposition of the receiver's density that clusters was
+    read from: it maps the eigenvectors onto the computational basis in
+    order, which lays each cluster out as consecutive residual labels times
+    a full uniform block on the trailing d qubits.  Returns (u_b, eta); eta
+    is the diagonal residual density (cluster values scaled by 2**d),
+    absent when d equals the receiver's qubit count.
 
     When the receiver's density is already the maximally mixed state and
     d is maximal, the identity is returned.
@@ -271,19 +280,17 @@ def synthesize_u_b(channel: ChannelState, clusters: SpectrumClusters, d: int):
     m, n = len(channel.alice), len(channel.bob)
     if not 0 <= d <= max_capacity(clusters, m, n):
         raise ValueError("d is not admissible for this spectrum")
-    relabeling = _relabeling(n, d)
+    v = np.asarray(eigenvectors, dtype=np.complex128)
+    if v.shape != (1 << n, 1 << n):
+        raise ValueError("eigenvectors must be a 2**n x 2**n matrix, n the receiver's qubits")
     if d == n:
         # single flat cluster: the density already factors as I/2**n
-        return np.eye(1 << n, dtype=complex), None, relabeling
-    if any(c.basis is None for c in clusters.clusters):
-        raise ValueError("clusters must carry their eigenvectors")
-    u_b = np.concatenate([c.basis for c in clusters.clusters], axis=1).conj().T
+        return np.eye(1 << n, dtype=complex), None
     block = 1 << d
     diag = np.concatenate(
         [np.full(c.multiplicity // block, c.value * block) for c in clusters.clusters]
     )
-    eta = np.diag(diag.astype(complex))
-    return u_b, eta, relabeling
+    return v.conj().T, np.diag(diag.astype(complex))
 
 
 def _transformed(rho_b: np.ndarray, u_b: np.ndarray, d: int):
@@ -429,8 +436,8 @@ def synthesize_u_a(channel: ChannelState, u_b, d: int, eps: float = DEFAULT_EPS)
         raise ValueError("factorization condition fails at this d")
     u_b, rows, values, _ = _targets(eta_hat, u_b, len(channel.alice), len(channel.bob), d,
                                     bell_high=True)
-    u_a, factors = _sender_unitary(channel, u_b, rows, values)
-    return _assemble(*factors) if u_a is None else u_a
+    u_a = _sender_unitary(channel, u_b, rows, values)
+    return u_a.dense() if isinstance(u_a, _LowRank) else u_a
 
 
 def _permuted_frame(q_s: np.ndarray, rows: np.ndarray, entries: np.ndarray) -> np.ndarray:
@@ -458,11 +465,8 @@ def _permuted_frame(q_s: np.ndarray, rows: np.ndarray, entries: np.ndarray) -> n
 
 def _sender_unitary(channel: ChannelState, u_b: np.ndarray, rows: np.ndarray,
                     values: np.ndarray):
-    """synthesize_u_a's construction for the target columns _targets gives.
-
-    Returns (u_a, None) when u_a was built densely, and (None, (W, C - I)),
-    both factors read-only, when u_a = I + W (C - I) W†; the dense matrix
-    is then left to _assemble.
+    """synthesize_u_a's construction for the target columns _targets gives,
+    checked: the dense u_a, or _LowRank(W, C - I) when u_a = I + W (C - I) W†.
     """
     source = bipartition_matrix(channel) @ u_b.T
     weights = np.einsum("ak,ak->k", source.conj(), source).real
@@ -472,7 +476,7 @@ def _sender_unitary(channel: ChannelState, u_b: np.ndarray, rows: np.ndarray,
         u_a = _permuted_frame(_completed_frame(s), rows, values)
         if not linalg.is_unitary(u_a):
             raise ArithmeticError("synthesized sender unitary failed the unitarity check")
-        return u_a, None
+        return u_a
     if np.any(rows < 0):  # a zero target column; small entries fail the frame below
         raise ArithmeticError("relative-vector frame is rank deficient")
     t = np.zeros_like(s)
@@ -485,7 +489,7 @@ def _sender_unitary(channel: ChannelState, u_b: np.ndarray, rows: np.ndarray,
     if not linalg.is_unitary(c, tol) or linalg._unitarity_defect(w) > tol:
         raise ArithmeticError("synthesized sender unitary failed the unitarity check")
     c[np.diag_indices(k)] -= 1.0
-    return None, (_read_only(w), _read_only(c))
+    return _LowRank(_read_only(w), _read_only(c))
 
 
 def _structural(oriented: ChannelState, eps: float, d: int | None = None):
@@ -497,13 +501,13 @@ def _structural(oriented: ChannelState, eps: float, d: int | None = None):
     holds), holds the certificate's verdict."""
     rho = reduced_density(oriented, "bob")
     w, v = hermitian_eig(rho)
-    clusters = cluster_spectrum(w, eps, eigenvectors=v)
+    clusters = cluster_spectrum(w, eps)
     top = max_capacity(clusters, len(oriented.alice), len(oriented.bob))
     if d is None:
         d = top
     elif not 0 <= d <= top:
         return w, clusters, d, None
-    u_b, eta, _ = synthesize_u_b(oriented, clusters, d)
+    u_b, eta = synthesize_u_b(oriented, clusters, v, d)
     rho_t, eta_hat = _transformed(rho, u_b, d)
     return w, clusters, d, (u_b, eta, eta_hat, _factors(rho_t, eta_hat, d, eps))
 
@@ -527,21 +531,21 @@ def analyze(channel: ChannelState, eps: float = DEFAULT_EPS) -> AnalysisReport:
     if not holds:
         raise ArithmeticError("factorization condition failed after synthesis")
     u_struct, rows, values, _ = _targets(eta_hat, u_struct, m, n, d, bell_high=not swapped)
-    u_purif, factors = _sender_unitary(oriented, u_struct, rows, values)
-    if u_purif is not None:
-        _read_only(u_purif)  # so the report adopts it instead of copying it
+    purifier = _sender_unitary(oriented, u_struct, rows, values)
+    # a dense purifier is made read-only, so the report adopts it instead of copying it
+    u_purif = None if isinstance(purifier, _LowRank) else _read_only(purifier)
 
-    relabeling = _relabeling(n_out, d)
+    # the receiver's trailing d slots hold the Bell halves, the leading n - d the residual
+    relabeling = tuple(range(n_out - d, n_out)) + tuple(range(n_out - d))
     a_slots = range(d) if not swapped else range(m_out - d, m_out)
     pairs = tuple((channel.alice[a], channel.bob[b]) for a, b in zip(a_slots, relabeling[:d]))
     u_a, u_b = (u_struct, u_purif) if swapped else (u_purif, u_struct)
     report = AnalysisReport(
         entropy_bits=_spectrum_entropy(np.clip(w, 0.0, None)), capacity=d, u_a=u_a, u_b=u_b,
         eta=eta, clusters=clusters, bob_relabeling=relabeling, pairs=pairs, swapped=swapped)
-    # _sender_unitary has checked u_purif or its factors, so no dense check
-    # is repeated; a purifier left as factors is assembled only when read
-    object.__setattr__(report, "_purifier_checked", True)
-    object.__setattr__(report, "_purifier_factors", factors)
+    # _sender_unitary has checked the purifier, so no dense check is
+    # repeated; a purifier left as factors is assembled only when read
+    object.__setattr__(report, "_purifier", purifier)
     return report
 
 

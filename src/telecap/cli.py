@@ -256,12 +256,13 @@ def _print_analysis(report) -> None:
 _REPORT_BYTES_PER_ENTRY = 240
 
 
-def _write_report(path: str, report) -> None:
-    """Write the --report document with the bytes of json.dumps(doc,
-    indent=2) plus a newline.  The text is built before the file is opened
+def _write_report(path: str, report, channel: ChannelState) -> None:
+    """Write the --report document of the channel's report with the bytes
+    of json.dumps(doc, indent=2) plus a newline.  The budget is sized from
+    the channel's party sizes.  The text is built before the file is opened
     and written all or nothing, so a refused or failed report leaves no new
     file and an existing one as it was."""
-    dim_a, dim_b = report._dims
+    dim_a, dim_b = 1 << len(channel.alice), 1 << len(channel.bob)
     entries = dim_a * dim_a + dim_b * dim_b + (0 if report.eta is None else report.eta.size)
     _check_budget(entries * _REPORT_BYTES_PER_ENTRY, "the --report document")
     doc = {
@@ -308,7 +309,7 @@ def _cmd_analyze(args) -> int:
     report = analyze(channel, args.eps)
     _print_analysis(report)
     if args.report:
-        _write_report(args.report, report)
+        _write_report(args.report, report, channel)
     return EXIT_OK
 
 

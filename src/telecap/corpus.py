@@ -134,7 +134,7 @@ def random_channel(m: int, n: int, seed) -> ChannelState:
     return ChannelState(state, tuple(range(m)), tuple(range(m, m + n)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlantedChannel:
     """A scrambled channel with known ground truth.
 

@@ -92,13 +92,11 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
 class EigenvalueCluster:
     """One (near-)degenerate group of a descending spectrum.
 
-    value is the cluster anchor (its largest member, clamped into [0, 1]);
-    basis, when present, carries the matching eigenvectors as columns.
+    value is the cluster anchor (its largest member, clamped into [0, 1]).
     """
 
     value: float
     multiplicity: int
-    basis: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -106,19 +104,20 @@ class SpectrumClusters:
     clusters: tuple[EigenvalueCluster, ...]
 
 
-def cluster_spectrum(eigenvalues, eps: float = DEFAULT_EPS,
-                     eigenvectors: np.ndarray | None = None) -> SpectrumClusters:
+def cluster_spectrum(eigenvalues, eps: float = DEFAULT_EPS) -> SpectrumClusters:
     """Greedy degeneracy clustering of a descending spectrum.
 
     Walking from the largest value, a value joins the current cluster when it
     lies within eps of the cluster's first (anchor) value; otherwise it opens
     a new cluster.  Anchors of consecutive clusters therefore differ by more
-    than eps.
+    than eps.  The values must be finite.
     """
     w = np.asarray(eigenvalues, dtype=float).ravel()
     _check_eps(eps)
     if w.size == 0:
         raise ValueError("empty spectrum")
+    if not np.isfinite(w).all():
+        raise ValueError("eigenvalues contain non-finite entries")
     if np.any(np.diff(w) > 1e-12):
         raise ValueError("eigenvalues must be sorted descending")
     clusters = []
@@ -128,11 +127,8 @@ def cluster_spectrum(eigenvalues, eps: float = DEFAULT_EPS,
         stop = start + 1
         while stop < w.size and anchor - w[stop] <= eps:
             stop += 1
-        basis = None
-        if eigenvectors is not None:
-            basis = np.array(eigenvectors[:, start:stop])
         value = float(min(max(anchor, 0.0), 1.0))
-        clusters.append(EigenvalueCluster(value, stop - start, basis))
+        clusters.append(EigenvalueCluster(value, stop - start))
         start = stop
     return SpectrumClusters(tuple(clusters))
 

@@ -92,7 +92,7 @@ def _check_targets(targets, n: int) -> list[int]:
     return targets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Unit-norm state vector over 2**n_qubits big-endian amplitudes."""
 
@@ -113,7 +113,7 @@ class PureState:
         return self.amplitudes.size.bit_length() - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelState:
     """A pure state split between a sending party (alice) and a receiving
     party (bob).

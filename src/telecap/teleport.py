@@ -2,12 +2,12 @@
 accounting.
 
 Both protocol flavours consume a channel together with its analysis report:
-the local unitaries are applied first, to the channel alone before the
-payload joins, turning it into singlet pairs plus a residual factor; then
-each payload qubit is pushed through one pair.  Where analyze built the
-larger party's unitary as the identity plus a rank-2r correction, the
-report keeps only its small factors and the correction is applied through
-them, so a teleport neither assembles nor multiplies by the dense
+the report first canonicalizes the channel alone, before the payload
+joins, turning it into singlet pairs plus a residual factor; then each
+payload qubit is pushed through one pair.  The report checks its
+unitaries against the channel and applies its purifier in the form
+analyze built it, so where that is the identity plus a rank-2r
+correction, a teleport neither assembles nor multiplies by the dense
 2**m x 2**m matrix.  The Bell flavour measures
 (payload qubit, sender half) directly in the Bell basis; the circuit
 flavour first applies the standard two-qubit measurement circuit and reads
@@ -232,11 +232,10 @@ def _prepare(channel: ChannelState, payload: PureState, report: AnalysisReport) 
     """The canonicalized joint state (payload qubits first), grouped by
     used pair as _branch_table walks it: shape (8**k, rest).
 
-    The local unitaries act on the channel's (sender x receiver) amplitude
-    matrix before the payload joins, so their cost does not grow with the
-    payload.  Where analyze kept the purifier's factors, the party sizes
-    are read from them and the purifier is applied through them, so the
-    dense 2**m x 2**m purifier is never assembled.  The payload then joins
+    The report canonicalizes the channel's (sender x receiver) amplitude
+    matrix before the payload joins, so the cost of the local unitaries
+    does not grow with the payload; it raises ValueError when they are not
+    unitary or do not match the channel's parties.  The payload then joins
     that matrix in one outer product, and one copying transpose groups the
     product: pair t's (message t, sender half, receiver half) axes side by
     side, pair 0 first, then the qubits no pair uses, in ascending order.
@@ -246,13 +245,9 @@ def _prepare(channel: ChannelState, payload: PureState, report: AnalysisReport) 
         raise CapacityShortfall(
             f"payload has {k} qubits but the channel teleports {report.capacity}"
         )
-    if not report.unitary:
-        raise ValueError("report's u_a or u_b is not unitary within 1e-9")
-    mat = bipartition_matrix(channel)
-    if report._dims != mat.shape:
-        raise ValueError("report's unitaries do not match the channel's parties")
+    canonical = report._canonicalize(bipartition_matrix(channel))
     first = [q for t, (a, b) in enumerate(report.pairs[:k]) for q in (t, a + k, b + k)]
-    return _tensor_grouped(payload, report._canonicalize(mat), channel.alice + channel.bob, first)
+    return _tensor_grouped(payload, canonical, channel.alice + channel.bob, first)
 
 
 def _branch_table(psi: np.ndarray, pair_operator: np.ndarray) -> np.ndarray:

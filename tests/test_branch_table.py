@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from oracle import grouped_joint_state, sequential_teleport, spawned_uniforms
-from telecap.capacity import analyze
+from telecap.capacity import _LowRank, analyze
 from telecap.corpus import generate_planted, ghz_channel, n_bell_channel
 from telecap.states import ChannelState, permute_qubits, random_pure_state
 from telecap.teleport import (
@@ -77,7 +77,7 @@ def test_factored_report_matches_sequential_oracle(m, n, d, method):
     # the oracle applies the dense u_a and u_b; teleport goes through the factors
     channel = generate_planted(m, n, d, seed=80 + m).channel
     report = analyze(channel)
-    assert report._purifier_factors is not None
+    assert isinstance(report._purifier, _LowRank)
     _assert_matches_oracle(channel, random_pure_state(d, seed=81), report, method)
 
 
@@ -117,7 +117,7 @@ def test_prepare_matches_grouped_oracle(m, n, d, alice, bob, swapped, factored):
     channel = _relabelled(generate_planted(m, n, d, seed=7 * m + n).channel, alice, bob)
     report = analyze(channel)
     assert (report.capacity, report.swapped) == (d, swapped)
-    assert (report._purifier_factors is not None) == factored
+    assert isinstance(report._purifier, _LowRank) == factored
     for k in range(1, d + 1):
         payload = random_pure_state(k, seed=920 + k)
         got = _prepare(channel, payload, report)

@@ -125,11 +125,23 @@ class TestSynthesis:
         for n in (1, 2):
             ch = n_bell_channel(n)
             w, v = linalg.hermitian_eig(reduced_density(ch, "bob"))
-            clusters = linalg.cluster_spectrum(w, 1e-9, eigenvectors=v)
-            u_b, eta, relabeling = synthesize_u_b(ch, clusters, n)
+            clusters = linalg.cluster_spectrum(w, 1e-9)
+            u_b, eta = synthesize_u_b(ch, clusters, v, n)
             assert eta is None                      # whole side is Bell halves
-            assert relabeling == tuple(range(n))
             assert verify_condition(ch, u_b, n)
+
+    @pytest.mark.parametrize("m,n,d", [(3, 3, 1), (2, 4, 1), (5, 2, 1)])
+    def test_u_b_is_v_dagger_of_the_one_eigh(self, m, n, d):
+        ch = generate_planted(m, n, d, seed=7).channel
+        oriented = ch.swapped() if m < n else ch
+        w, v = linalg.hermitian_eig(reduced_density(oriented, "bob"))
+        u_b, eta = synthesize_u_b(oriented, linalg.cluster_spectrum(w, 1e-9), v, d)
+        assert np.array_equal(u_b, v.conj().T)
+        with pytest.raises(ValueError, match="2\\*\\*n x 2\\*\\*n"):
+            synthesize_u_b(oriented, linalg.cluster_spectrum(w, 1e-9), v[:, :-1], d)
+        rep = analyze(ch)
+        assert np.array_equal(rep.u_a if rep.swapped else rep.u_b, u_b)
+        assert np.array_equal(rep.eta, eta)
 
     def test_eta_shape_and_trace(self):
         p = generate_planted(3, 3, 1, seed=5)
@@ -369,6 +381,18 @@ class TestAnalyze:
                 continue
             block = 1 << (rep.capacity + 1)
             assert any(c.multiplicity % block for c in rep.clusters.clusters)
+
+    def test_arrays_holders_compare_by_identity(self):
+        # states, channels, planted channels and reports hold arrays, so
+        # == is identity and hash the object's, never an elementwise test
+        planted = generate_planted(2, 2, 1, seed=3)
+        ch = planted.channel
+        rep = analyze(ch)
+        for a, b in [(bell_state(1), bell_state(1)), (ch, ch.swapped().swapped()),
+                     (planted, generate_planted(2, 2, 1, seed=3)), (rep, analyze(ch))]:
+            assert a == a and a != b
+            assert len({a, b, a}) == 2 and hash(a) == hash(a)
+        assert rep.clusters == analyze(ch).clusters  # spectra still compare by value
 
 
 class TestGhzFamily:

@@ -13,7 +13,7 @@ import pytest
 
 from oracle import state_file_json
 from telecap import capacity, cli
-from telecap.capacity import analyze
+from telecap.capacity import _LowRank, analyze
 from telecap.cli import (
     _REPORT_BYTES_PER_ENTRY,
     EXIT_CAPACITY,
@@ -109,7 +109,7 @@ class TestAnalyzeCommand:
     def test_report_has_json_dumps_bytes(self, run, tmp_path, m, n, d, factored, swapped):
         ch = generate_planted(m, n, d, seed=5).channel
         rep = analyze(ch)
-        assert (rep._purifier_factors is not None, rep.swapped) == (factored, swapped)
+        assert (isinstance(rep._purifier, _LowRank), rep.swapped) == (factored, swapped)
         path, report = tmp_path / "c.json", tmp_path / "r.json"
         save_state_file(str(path), ch.state, ch.alice, ch.bob)
         assert run("analyze", path, "--report", report)[0] == EXIT_OK
@@ -154,11 +154,12 @@ class TestAnalyzeCommand:
         assert not report.exists()
 
     def test_report_estimate_bounds_its_peak(self, tmp_path):
-        rep = analyze(generate_planted(6, 1, 1, seed=3).channel)
+        channel = generate_planted(6, 1, 1, seed=3).channel
+        rep = analyze(channel)
         entries = 4 ** 6 + 4 ** 1
         tracemalloc.start()
         try:
-            _write_report(str(tmp_path / "report.json"), rep)
+            _write_report(str(tmp_path / "report.json"), rep, channel)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from telecap import capacity
-from telecap.capacity import analyze, canonical_state, certify, synthesize_u_a
+from telecap.capacity import _LowRank, analyze, canonical_state, certify, synthesize_u_a
 from telecap.cli import main, save_state_file
 from telecap.corpus import generate_planted
 from telecap.states import random_pure_state
@@ -32,7 +32,7 @@ def test_factored_prepare_matches_dense(m, n, d):
     channel = _planted(m, n, d)
     rep = analyze(channel)
     dense = dataclasses.replace(rep)
-    assert dense._purifier_factors is None
+    assert dense._purifier is None
     payload = random_pure_state(d, seed=m + n)
     got = _prepare(channel, payload, rep)
     want = _prepare(channel, payload, dense)
@@ -44,17 +44,16 @@ def test_grid_reaches_factors_in_both_orientations():
     factored = {}
     for m, n, d in PLANTED_GRID:
         rep = analyze(_planted(m, n, d))
-        factored.setdefault(rep._purifier_factors is not None, set()).add(rep.swapped)
+        factored.setdefault(isinstance(rep._purifier, _LowRank), set()).add(rep.swapped)
     assert factored == {True: {False, True}, False: {False, True}}
 
 
 def test_replaced_report_carries_no_factors():
     rep = analyze(_planted(6, 1, 1))
-    assert rep._purifier_factors is not None
+    assert isinstance(rep._purifier, _LowRank)
     for own in (dataclasses.replace(rep), dataclasses.replace(rep, u_a=rep.u_a.copy())):
-        assert own._purifier_factors is None and not own._purifier_checked
-    w, dc = rep._purifier_factors
-    assert not w.flags.writeable and not dc.flags.writeable
+        assert own._purifier is None
+    assert not rep._purifier.w.flags.writeable and not rep._purifier.dc.flags.writeable
 
 
 def _recording(log):
@@ -83,8 +82,8 @@ def test_lopsided_teleport_multiplies_no_wide_operator(m, n):
     recording = _recording(shapes)
     for name in ("u_a", "u_b"):
         object.__setattr__(rep, name, getattr(rep, name).view(recording))
-    object.__setattr__(rep, "_purifier_factors",
-                       tuple(f.view(recording) for f in rep._purifier_factors))
+    object.__setattr__(rep, "_purifier",
+                       _LowRank(rep._purifier.w.view(recording), rep._purifier.dc.view(recording)))
     res = teleport_bell(channel, random_pure_state(1, seed=4), rep)
     assert res.min_fidelity >= 1 - 1e-9
     widths = {s for operands in shapes for s in operands}
@@ -108,9 +107,8 @@ def test_analyze_builds_no_dense_sender_unitary():
 @pytest.mark.parametrize("m,n", [(6, 1), (1, 6)])
 def test_dense_purifier_assembled_once_on_read(monkeypatch, tmp_path, m, n):
     calls = []
-    assemble = capacity._assemble
-    monkeypatch.setattr(capacity, "_assemble",
-                        lambda w, dc: calls.append(w.shape) or assemble(w, dc))
+    dense = _LowRank.dense
+    monkeypatch.setattr(_LowRank, "dense", lambda lr: calls.append(lr.w.shape) or dense(lr))
     channel = generate_planted(m, n, 1, seed=60 + m).channel
     rep = analyze(channel)
     payload = random_pure_state(1, seed=6)
@@ -127,8 +125,11 @@ def test_dense_purifier_assembled_once_on_read(monkeypatch, tmp_path, m, n):
     purifier = rep.u_b if rep.swapped else rep.u_a
     assert calls == [(64, 4)] and not purifier.flags.writeable
     assert (rep.u_b if rep.swapped else rep.u_a) is purifier and len(calls) == 1
-    w, dc = rep._purifier_factors
+    w, dc = rep._purifier.w, rep._purifier.dc
     assert np.array_equal(purifier, np.eye(64) + w @ dc @ w.conj().T)
+    # once read, the dense field is not what a teleport multiplies by
+    assert teleport_bell(channel, payload, rep).min_fidelity >= 1 - 1e-9
+    assert len(calls) == 1 and isinstance(rep._purifier, _LowRank)
 
 
 @pytest.mark.parametrize("m,n", [(14, 1), (1, 14), (13, 2), (2, 13)])
@@ -146,7 +147,7 @@ def test_analyze_and_teleport_at_the_cap(m, n):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rep.capacity == min(m, n) and rep._purifier_factors is not None
+    assert rep.capacity == min(m, n) and isinstance(rep._purifier, _LowRank)
     assert min(fidelities) >= 1 - 1e-9
     assert verdicts == [True, None]
     assert elapsed < 1.0
@@ -185,8 +186,13 @@ def test_report_adopts_frozen_arrays_and_copies_others():
     assert dataclasses.replace(rep, u_a=real).u_a.dtype == np.complex128
 
 
-def test_report_of_another_split_rejected():
-    rep = analyze(_planted(2, 2, 1))
-    other = _planted(3, 1, 1)
-    with pytest.raises(ValueError, match="match"):
-        teleport_bell(other, random_pure_state(1, seed=5), rep)
+@pytest.mark.parametrize("split,other,factored", [
+    ((2, 2), (3, 1), False), ((6, 1), (1, 6), True), ((6, 1), (5, 2), True),
+    ((1, 6), (6, 1), True),
+], ids=["dense", "factored-mirrored", "factored-resplit", "swapped-factored"])
+def test_report_of_another_split_rejected(split, other, factored):
+    rep = analyze(_planted(*split, 1))
+    assert isinstance(rep._purifier, _LowRank) == factored
+    assert rep.swapped == (split[0] < split[1])
+    with pytest.raises(ValueError, match="do not match the channel's parties"):
+        teleport_bell(_planted(*other, 1), random_pure_state(1, seed=5), rep)

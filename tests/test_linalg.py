@@ -83,11 +83,10 @@ class TestClusterSpectrum:
         s = linalg.cluster_spectrum(w, eps=1e-9)
         assert [c.multiplicity for c in s.clusters] == [2, 1]
 
-    def test_carries_eigenvector_slices(self):
-        h = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-        w, v = linalg.hermitian_eig(h)
-        s = linalg.cluster_spectrum(w, 1e-9, eigenvectors=v)
-        assert [c.basis.shape[1] for c in s.clusters] == [2, 2]
+    @pytest.mark.parametrize("w", [[np.nan, 0.5], [np.inf, 0.5], [0.5, -np.inf]])
+    def test_rejects_non_finite(self, w):
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.cluster_spectrum(w)
 
     def test_rejects_ascending(self):
         with pytest.raises(ValueError, match="descending"):
