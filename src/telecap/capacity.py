@@ -44,7 +44,7 @@ from . import linalg
 from .linalg import (
     ABSENT_WEIGHT,
     DEFAULT_EPS,
-    SpectrumClusters,
+    EigenvalueCluster,
     _check_eps,
     cluster_spectrum,
     hermitian_eig,
@@ -142,7 +142,8 @@ class AnalysisReport:
     side is Alice and eta lives on her leading m-d qubits.  bob_relabeling
     lists, role by role (Bell halves first, then residual), which slot of
     Bob's list plays that role after canonicalization.  pairs gives the
-    global qubit labels (alice_qubit, bob_qubit) of the d Bell pairs.
+    global qubit labels (alice_qubit, bob_qubit) of the d Bell pairs, and
+    clusters the structural side's eigenvalue clusters, largest first.
     Reports compare by identity.
 
     The report holds read-only matrices, so writing to the caller's arrays
@@ -163,7 +164,7 @@ class AnalysisReport:
     u_a: np.ndarray = _Unitary()
     u_b: np.ndarray = _Unitary()
     eta: np.ndarray | None
-    clusters: SpectrumClusters
+    clusters: tuple[EigenvalueCluster, ...]
     bob_relabeling: tuple[int, ...]
     pairs: tuple[tuple[int, int], ...]
     swapped: bool
@@ -191,25 +192,29 @@ class AnalysisReport:
         return linalg.is_unitary(getattr(self, structural)) and (
             self._purifier is not None or linalg.is_unitary(getattr(self, purifying)))
 
-    def _canonicalize(self, mat: np.ndarray) -> np.ndarray:
-        """u_a mat u_bᵀ for a (sender x receiver) amplitude matrix: the
-        channel after both local unitaries.
-
-        Raises ValueError unless both unitaries pass the unitary check and
-        match the matrix's party sizes.  The matrix is oriented with the
-        purifying (larger) party's rows; the structural unitary acts on its
-        columns first, then the purifier, through its factors where analyze
-        kept them, on its rows.
-        """
+    def _oriented(self, dims: tuple[int, int]):
+        """(purifier, structural unitary), the purifier as analyze kept it,
+        for a channel of dims = (sender, receiver) dimensions.  Raises
+        ValueError unless both pass the unitary check and match those
+        dimensions, the purifying (larger) party first."""
         if not self.unitary:
             raise ValueError("report's u_a or u_b is not unitary within 1e-9")
         structural, purifying = ("u_a", "u_b") if self.swapped else ("u_b", "u_a")
         purifier = getattr(self, purifying) if self._purifier is None else self._purifier
         u_struct = getattr(self, structural)
+        if (purifier.shape[0], u_struct.shape[0]) != (dims[::-1] if self.swapped else dims):
+            raise ValueError("report's unitaries do not match the channel's parties")
+        return purifier, u_struct
+
+    def _canonicalize(self, mat: np.ndarray) -> np.ndarray:
+        """u_a mat u_bᵀ for a (sender x receiver) amplitude matrix, checked
+        by _oriented: the channel after both local unitaries.  The matrix is
+        oriented with the purifying (larger) party's rows; the structural
+        unitary acts on its columns first, then the purifier on its rows.
+        """
+        purifier, u_struct = self._oriented(mat.shape)
         if self.swapped:
             mat = mat.T
-        if (purifier.shape[0], u_struct.shape[0]) != mat.shape:
-            raise ValueError("report's unitaries do not match the channel's parties")
         mat = purifier @ (mat @ u_struct.T)
         return mat.T if self.swapped else mat
 
@@ -256,14 +261,15 @@ def _two_adic(k: int) -> int:
     return (k & -k).bit_length() - 1
 
 
-def max_capacity(clusters: SpectrumClusters, m: int, n: int) -> int:
+def max_capacity(clusters: tuple[EigenvalueCluster, ...], m: int, n: int) -> int:
     """Largest d such that every eigenvalue multiplicity is divisible by
     2**d, capped by the smaller party size."""
-    d = min(_two_adic(c.multiplicity) for c in clusters.clusters)
+    d = min(_two_adic(c.multiplicity) for c in clusters)
     return min(d, m, n)
 
 
-def synthesize_u_b(channel: ChannelState, clusters: SpectrumClusters, eigenvectors, d: int):
+def synthesize_u_b(channel: ChannelState, clusters: tuple[EigenvalueCluster, ...],
+                   eigenvectors, d: int):
     """Receiver-side unitary factoring the reduced density at capacity d.
 
     u_b = V†, V the eigenvector matrix (columns, eigenvalues descending)
@@ -288,7 +294,7 @@ def synthesize_u_b(channel: ChannelState, clusters: SpectrumClusters, eigenvecto
         return np.eye(1 << n, dtype=complex), None
     block = 1 << d
     diag = np.concatenate(
-        [np.full(c.multiplicity // block, c.value * block) for c in clusters.clusters]
+        [np.full(c.multiplicity // block, c.value * block) for c in clusters]
     )
     return v.conj().T, np.diag(diag.astype(complex))
 
@@ -486,7 +492,7 @@ def _sender_unitary(channel: ChannelState, u_b: np.ndarray, rows: np.ndarray,
     c = _completed_frame(wh @ t) @ _completed_frame(wh @ s).conj().T
     k = c.shape[0]
     tol = _FACTOR_TOL / k
-    if not linalg.is_unitary(c, tol) or linalg._unitarity_defect(w) > tol:
+    if not all(linalg._unitarity_defect(f) <= tol for f in (c, w)):  # a NaN defect fails
         raise ArithmeticError("synthesized sender unitary failed the unitarity check")
     c[np.diag_indices(k)] -= 1.0
     return _LowRank(_read_only(w), _read_only(c))
@@ -550,9 +556,10 @@ def analyze(channel: ChannelState, eps: float = DEFAULT_EPS) -> AnalysisReport:
 
 
 def certify(channel: ChannelState, d: int, eps: float = DEFAULT_EPS):
-    """The receiver's eigenvalue clusters, and whether the factorization
-    certificate holds at a claimed capacity d (None when the spectrum does
-    not admit d), decided on the smaller party as analyze decides.
+    """(clusters, holds): the receiver's eigenvalue clusters as the tuple
+    cluster_spectrum returns, and whether the factorization certificate
+    holds at a claimed capacity d (None when the spectrum does not admit
+    d), decided on the smaller party as analyze decides.
 
     A receiver with more qubits (n > m) has the sender's spectrum plus
     2**n - 2**m exact zeros.  Greedy clustering puts them all into the
@@ -565,18 +572,19 @@ def certify(channel: ChannelState, d: int, eps: float = DEFAULT_EPS):
     swapped = len(channel.alice) < len(channel.bob)
     w, clusters, _, cert = _structural(channel.swapped() if swapped else channel, eps, d)
     if swapped:
-        *head, last = cluster_spectrum(np.append(w, 0.0), eps).clusters
+        *head, last = cluster_spectrum(np.append(w, 0.0), eps)
         pad = (1 << len(channel.bob)) - w.size - 1
-        clusters = SpectrumClusters((*head, replace(last, multiplicity=last.multiplicity + pad)))
+        clusters = (*head, replace(last, multiplicity=last.multiplicity + pad))
     return clusters, None if cert is None else cert[-1]
 
 
 def canonical_state(channel: ChannelState, report: AnalysisReport) -> PureState:
     """The Bell canonical state that (u_a (x) u_b) applied to the channel
     reaches: d singlets on report.pairs times the canonical purification of
-    the residual density."""
+    the residual density.  Raises ValueError, as a teleport does, unless
+    the report's unitaries pass the unitary check and fit the channel."""
+    _, u_struct = report._oriented((1 << len(channel.alice), 1 << len(channel.bob)))
     oriented = channel.swapped() if report.swapped else channel
-    u_struct = report.u_a if report.swapped else report.u_b
     d = report.capacity
     m, n = len(oriented.alice), len(oriented.bob)
     _, eta_hat = _transformed(reduced_density(oriented, "bob"), u_struct, d)

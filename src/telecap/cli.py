@@ -237,7 +237,7 @@ def _load_payload(path: str) -> PureState:
 # ------------------------------------------------------------------ reporting
 
 def _print_clusters(clusters) -> None:
-    for c in clusters.clusters:
+    for c in clusters:
         print(f"cluster value={c.value:.9f} multiplicity={c.multiplicity} "
               f"v2={_two_adic(c.multiplicity)}")
 
@@ -271,7 +271,7 @@ def _write_report(path: str, report, channel: ChannelState) -> None:
         "clusters": [
             {"value": c.value, "multiplicity": c.multiplicity,
              "v2": _two_adic(c.multiplicity)}
-            for c in report.clusters.clusters
+            for c in report.clusters
         ],
         "swapped": report.swapped,
         "pairs": [list(p) for p in report.pairs],
@@ -323,7 +323,7 @@ def _cmd_verify(args) -> int:
     clusters, holds = certify(channel, d, args.eps)
     _print_clusters(clusters)
     if holds is None:
-        c = next(c for c in clusters.clusters if _two_adic(c.multiplicity) < d)
+        c = next(c for c in clusters if _two_adic(c.multiplicity) < d)
         raise CliFailure(
             EXIT_INFEASIBLE,
             f"multiplicity {c.multiplicity} at value {c.value:.9f} "
@@ -349,8 +349,7 @@ def _teleport_run(channel, payload, args, method):
         payload = random_pure_state(min(report.capacity, room), payload_seed)
     print(f"entropy={report.entropy_bits:.6f} capacity={report.capacity}")
     run = teleport_bell if method == "bell" else teleport_circuit
-    result = run(channel, payload, report, mode=args.mode,
-                 seed=sample_seed, trials=args.trials, eps=args.eps)
+    result = run(channel, payload, report, mode=args.mode, seed=sample_seed, trials=args.trials)
     _print_branches(result)
     _check_fidelity(result)
     return EXIT_OK

@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "DEFAULT_EPS",
     "EigenvalueCluster",
-    "SpectrumClusters",
     "hermitian_eig",
     "cluster_spectrum",
     "is_unitary",
@@ -56,12 +55,12 @@ def _unitarity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))))
 
 
-def is_unitary(u, tol: float = UNITARY_TOL) -> bool:
-    """Max-norm test of U†U = I."""
+def is_unitary(u) -> bool:
+    """Max-norm test of U†U = I within UNITARY_TOL."""
     u = _as_matrix(u, "u")
     if u.shape[0] != u.shape[1]:
         raise ValueError("u must be square")
-    return bool(_unitarity_defect(u) <= tol)
+    return _unitarity_defect(u) <= UNITARY_TOL
 
 
 def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
@@ -99,13 +98,8 @@ class EigenvalueCluster:
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class SpectrumClusters:
-    clusters: tuple[EigenvalueCluster, ...]
-
-
-def cluster_spectrum(eigenvalues, eps: float = DEFAULT_EPS) -> SpectrumClusters:
-    """Greedy degeneracy clustering of a descending spectrum.
+def cluster_spectrum(eigenvalues, eps: float = DEFAULT_EPS) -> tuple[EigenvalueCluster, ...]:
+    """Greedy degeneracy clustering of a descending spectrum, as a tuple.
 
     Walking from the largest value, a value joins the current cluster when it
     lies within eps of the cluster's first (anchor) value; otherwise it opens
@@ -130,5 +124,5 @@ def cluster_spectrum(eigenvalues, eps: float = DEFAULT_EPS) -> SpectrumClusters:
         value = float(min(max(anchor, 0.0), 1.0))
         clusters.append(EigenvalueCluster(value, stop - start))
         start = stop
-    return SpectrumClusters(tuple(clusters))
+    return tuple(clusters)
 

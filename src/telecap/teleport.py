@@ -48,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .capacity import DEFAULT_EPS, AnalysisReport, _check_budget, analyze, bipartition_matrix
+from .capacity import AnalysisReport, _check_budget, bipartition_matrix
 from .linalg import ABSENT_WEIGHT
 from .states import (
     MAX_QUBITS,
@@ -437,13 +437,11 @@ def _check_trials(trials, qubits: int) -> int:
     return count
 
 
-def _teleport(channel, payload, report, method, mode, seed, trials, eps):
+def _teleport(channel, payload, report, method, mode, seed, trials):
     if mode not in ("exhaustive", "sample"):
         raise ValueError("mode must be 'exhaustive' or 'sample'")
     if mode == "sample":
         trials = _check_trials(trials, channel.state.n_qubits + payload.n_qubits)
-    if report is None:
-        report = analyze(channel, eps)
     k = payload.n_qubits
     table = _branch_table(_prepare(channel, payload, report), _PROTOCOLS[method].pair_operator)
     probabilities = np.einsum("rjs,rjs->r", table.conj(), table).real
@@ -463,10 +461,11 @@ def _teleport(channel, payload, report, method, mode, seed, trials, eps):
     return TeleportResult(method, report.capacity, payload.n_qubits, branches)
 
 
-def teleport_bell(channel: ChannelState, payload: PureState,
-                  report: AnalysisReport | None = None, mode: str = "exhaustive",
-                  seed=None, trials: int = 1, eps: float = DEFAULT_EPS) -> TeleportResult:
-    """Teleport the payload with per-pair Bell measurements.
+def teleport_bell(channel: ChannelState, payload: PureState, report: AnalysisReport,
+                  mode: str = "exhaustive", seed=None, trials: int = 1) -> TeleportResult:
+    """Teleport the payload with per-pair Bell measurements over the
+    channel as report, its analysis, canonicalizes it (ValueError unless
+    the report's unitaries pass the unitary check and fit the channel).
 
     Exhaustive mode lists all 4**k classical branches (omitting those with
     probability below 1e-12); sample mode draws `trials` runs, one branch
@@ -478,21 +477,20 @@ def teleport_bell(channel: ChannelState, payload: PureState,
     is; runs that would take its spawn count to 2**32 raise ValueError.
     trials must be an integer of at least 1, and the sampled run (the
     walk's copies of the joint state plus each trial's streams and record)
-    must fit the memory budget, else ValueError is raised before any work.  The payload may use
-    any number of qubits up to the channel capacity; an oversized payload
-    raises CapacityShortfall.
+    must fit the memory budget, else ValueError is raised before any work.
+    The payload may use any number of qubits up to the channel capacity;
+    an oversized payload raises CapacityShortfall.
     """
-    return _teleport(channel, payload, report, "bell", mode, seed, trials, eps)
+    return _teleport(channel, payload, report, "bell", mode, seed, trials)
 
 
-def teleport_circuit(channel: ChannelState, payload: PureState,
-                     report: AnalysisReport | None = None, mode: str = "exhaustive",
-                     seed=None, trials: int = 1, eps: float = DEFAULT_EPS) -> TeleportResult:
+def teleport_circuit(channel: ChannelState, payload: PureState, report: AnalysisReport,
+                     mode: str = "exhaustive", seed=None, trials: int = 1) -> TeleportResult:
     """Teleport the payload with the measurement circuit on each pair.
 
     Equivalent to teleport_bell branch by branch under the raw-outcome
     relabeling r -> 3 - r (multi-qubit payloads go through one pair at a
     time, so the relabeling applies per pair).
     """
-    return _teleport(channel, payload, report, "circuit", mode, seed, trials, eps)
+    return _teleport(channel, payload, report, "circuit", mode, seed, trials)
 

@@ -30,13 +30,11 @@ where stated, its wall-clock budget:
 10. Every split up to the 16-qubit cap works: a planted m|n channel with
     d in {0, min(m, n)} analyzes to d, is certified at d and not at d + 1,
     and, where a 1-qubit payload fits beside it, teleports it with every
-    branch at fidelity 1 (within 1e-12).  Every split with m + n = 16
-    runs; of the smaller sizes, a seeded half of the splits per size.
+    branch at fidelity 1 (within 1e-12).  Every split runs: 240 cases.
 """
 
 import itertools
 import json
-import random
 import time
 
 import numpy as np
@@ -148,7 +146,7 @@ def test_criterion_4_soundness_and_completeness():
         m, n = len(ch.alice), len(ch.bob)
         if rep.capacity < min(m, n):
             block = 1 << (rep.capacity + 1)
-            assert any(c.multiplicity % block for c in rep.clusters.clusters)
+            assert any(c.multiplicity % block for c in rep.clusters)
         if truth is not None and truth >= 1 and teleported < 12:
             res = teleport_bell(ch, random_pure_state(truth, 700 + teleported), rep)
             assert res.min_fidelity > 1 - 1e-9
@@ -217,7 +215,8 @@ def test_criterion_7_entropy_symmetry():
 def test_criterion_8_sampling_statistics():
     t0 = time.monotonic()
     trials = 10_000
-    res = teleport_bell(n_bell_channel(1), random_pure_state(1, 81),
+    ch = n_bell_channel(1)
+    res = teleport_bell(ch, random_pure_state(1, 81), analyze(ch),
                         mode="sample", seed=12345, trials=trials)
     counts = np.bincount([b.outcomes[0] for b in res.branches], minlength=4)
     sigma = np.sqrt(0.25 * 0.75 / trials)
@@ -287,8 +286,6 @@ def test_criterion_9_cli_contract(tmp_path, capsys):
 def test_criterion_10_every_split_up_to_the_cap(total):
     t0 = time.monotonic()
     splits = [(m, total - m) for m in range(1, total)]
-    if total < 16:
-        splits = random.Random(total).sample(splits, (len(splits) + 1) // 2)
     for m, n in splits:
         for d in sorted({0, min(m, n)}):
             ch = generate_planted(m, n, d, seed=16 * m + n).channel

@@ -150,7 +150,7 @@ def test_branch_walk_memory(kwargs):
                          ids=["exhaustive", "sample"])
 def test_records_hold_python_scalars(kwargs, method):
     channel = generate_planted(3, 3, 2, seed=16).channel
-    result = TELEPORTS[method](channel, random_pure_state(2, 17), **kwargs)
+    result = TELEPORTS[method](channel, random_pure_state(2, 17), analyze(channel), **kwargs)
     assert len(result.branches) == (16 if not kwargs else 40)
     for b in result.branches:
         assert type(b.outcomes) is tuple and type(b.corrections) is tuple
@@ -249,7 +249,8 @@ def test_trial_uniforms_follow_pool_size(pool_size):
 def _sample(seed, method="bell", trials=30, channel=None, payload=None):
     if channel is None:
         channel, payload = generate_planted(3, 3, 2, seed=16).channel, random_pure_state(2, 17)
-    result = TELEPORTS[method](channel, payload, mode="sample", seed=seed, trials=trials)
+    result = TELEPORTS[method](channel, payload, analyze(channel), mode="sample", seed=seed,
+                               trials=trials)
     return [b.outcomes for b in result.branches]
 
 

@@ -231,8 +231,8 @@ class TestCertify:
         top = min(min(two_adic_division(k) for _, k in want), m, n)
         for d in range(min(m, n) + 2):
             clusters, holds = certify(ch, d, eps)
-            assert [c.multiplicity for c in clusters.clusters] == [k for _, k in want]
-            values = [c.value for c in clusters.clusters]
+            assert [c.multiplicity for c in clusters] == [k for _, k in want]
+            values = [c.value for c in clusters]
             assert np.max(np.abs(np.subtract(values, [v for v, _ in want]))) < 1e-12
             assert holds is (True if d <= top else None)
 
@@ -380,7 +380,7 @@ class TestAnalyze:
             if rep.capacity >= 2:
                 continue
             block = 1 << (rep.capacity + 1)
-            assert any(c.multiplicity % block for c in rep.clusters.clusters)
+            assert any(c.multiplicity % block for c in rep.clusters)
 
     def test_arrays_holders_compare_by_identity(self):
         # states, channels, planted channels and reports hold arrays, so

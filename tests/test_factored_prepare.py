@@ -187,12 +187,16 @@ def test_report_adopts_frozen_arrays_and_copies_others():
 
 
 @pytest.mark.parametrize("split,other,factored", [
-    ((2, 2), (3, 1), False), ((6, 1), (1, 6), True), ((6, 1), (5, 2), True),
-    ((1, 6), (6, 1), True),
-], ids=["dense", "factored-mirrored", "factored-resplit", "swapped-factored"])
+    ((2, 2), (3, 1), False), ((3, 2), (2, 3), False), ((3, 1), (1, 3), True),
+    ((6, 1), (1, 6), True), ((6, 1), (5, 2), True), ((1, 6), (6, 1), True),
+], ids=["dense", "dense-mirrored", "factored-small", "factored-mirrored", "factored-resplit",
+        "swapped-factored"])
 def test_report_of_another_split_rejected(split, other, factored):
     rep = analyze(_planted(*split, 1))
     assert isinstance(rep._purifier, _LowRank) == factored
     assert rep.swapped == (split[0] < split[1])
+    channel = _planted(*other, 1)
     with pytest.raises(ValueError, match="do not match the channel's parties"):
-        teleport_bell(_planted(*other, 1), random_pure_state(1, seed=5), rep)
+        teleport_bell(channel, random_pure_state(1, seed=5), rep)
+    with pytest.raises(ValueError, match="do not match the channel's parties"):
+        canonical_state(channel, rep)

@@ -65,23 +65,23 @@ class TestHermitianEig:
 class TestClusterSpectrum:
     def test_hand_case(self):
         s = linalg.cluster_spectrum([0.5, 0.5, 0.25, 0.25], eps=1e-9)
-        assert [c.multiplicity for c in s.clusters] == [2, 2]
-        assert [c.value for c in s.clusters] == [0.5, 0.25]
-        assert sum(c.multiplicity for c in s.clusters) == 4
+        assert [c.multiplicity for c in s] == [2, 2]
+        assert [c.value for c in s] == [0.5, 0.25]
+        assert sum(c.multiplicity for c in s) == 4
 
     def test_eps_boundary(self):
         w = [0.5, 0.5 - 1e-10, 0.25]
         s = linalg.cluster_spectrum(w, eps=1e-9)
-        assert [c.multiplicity for c in s.clusters] == [2, 1]
+        assert [c.multiplicity for c in s] == [2, 1]
         s = linalg.cluster_spectrum(w, eps=1e-11)
-        assert [c.multiplicity for c in s.clusters] == [1, 1, 1]
+        assert [c.multiplicity for c in s] == [1, 1, 1]
 
     def test_chained_drift_splits_on_anchor(self):
         # each neighbour is within eps of the last, but only membership
         # against the anchor counts
         w = [0.5, 0.5 - 0.8e-9, 0.5 - 1.6e-9]
         s = linalg.cluster_spectrum(w, eps=1e-9)
-        assert [c.multiplicity for c in s.clusters] == [2, 1]
+        assert [c.multiplicity for c in s] == [2, 1]
 
     @pytest.mark.parametrize("w", [[np.nan, 0.5], [np.inf, 0.5], [0.5, -np.inf]])
     def test_rejects_non_finite(self, w):
@@ -98,10 +98,10 @@ class TestClusterSpectrum:
     def test_multiplicities_cover_dimension(self, values, eps):
         w = np.sort(np.asarray(values))[::-1]
         s = linalg.cluster_spectrum(w, eps)
-        assert sum(c.multiplicity for c in s.clusters) == w.size
-        assert all(c.multiplicity >= 1 for c in s.clusters)
+        assert sum(c.multiplicity for c in s) == w.size
+        assert all(c.multiplicity >= 1 for c in s)
         # consecutive anchors must be separated by more than eps
-        anchors = [c.value for c in s.clusters]
+        anchors = [c.value for c in s]
         assert all(a - b > eps for a, b in zip(anchors, anchors[1:]))
 
 
@@ -110,13 +110,15 @@ class TestGuards:
         assert linalg.is_unitary(np.eye(4))
         assert not linalg.is_unitary(np.eye(4) * 1.0001)
 
-    def test_unitarity_defect(self):
-        # one measure for square matrices and column sets, compared with tol
+    def test_unitarity_defect(self, monkeypatch):
+        # one measure for square matrices and column sets, compared with UNITARY_TOL
         u = np.eye(3) * 1.0001
         defect = linalg._unitarity_defect(u)
         assert type(defect) is float and defect == pytest.approx(2.0001e-4, rel=1e-12)
-        assert linalg.is_unitary(u, defect) is True
-        assert linalg.is_unitary(u, np.nextafter(defect, 0)) is False  # bool under a numpy tol
+        monkeypatch.setattr(linalg, "UNITARY_TOL", defect)
+        assert linalg.is_unitary(u) is True
+        monkeypatch.setattr(linalg, "UNITARY_TOL", float(np.nextafter(defect, 0)))
+        assert linalg.is_unitary(u) is False
         cols = np.linalg.qr(random_density(3, 13))[0][:, :3]
         assert linalg._unitarity_defect(cols) < 1e-14
         assert linalg._unitarity_defect(2.0 * cols) == pytest.approx(3.0, abs=1e-14)

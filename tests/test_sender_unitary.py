@@ -91,18 +91,19 @@ def test_planted_grid_reaches_both_constructions():
 def test_lopsided_analysis_checks_only_small_matrices(monkeypatch):
     channel = generate_planted(10, 1, 1, seed=101).channel
     shapes = []
-    check = linalg.is_unitary
+    defect = linalg._unitarity_defect
 
-    def recorded(u, tol=1e-9):
-        shapes.append(np.shape(u))
-        return check(u, tol)
+    def recorded(m):
+        shapes.append(np.shape(m))
+        return defect(m)
 
-    monkeypatch.setattr(linalg, "is_unitary", recorded)
+    monkeypatch.setattr(linalg, "_unitarity_defect", recorded)
     rep = analyze(channel)
     res = teleport_bell(channel, random_pure_state(1, seed=2), rep)
     assert res.min_fidelity >= 1 - 1e-9
-    # C is 2r x 2r with r <= 2, u_b is 2 x 2; u_a itself (1024 wide) is never checked
-    assert shapes and max(max(s) for s in shapes) <= 4
+    # each check forms M†M over M's columns: C and W's are 2r with r <= 2,
+    # u_b's 2; u_a itself (1024 wide) is never checked
+    assert {s[1] for s in shapes} <= {2, 4} and (1024, 4) in shapes
 
 
 def test_non_unitary_small_factor_rejected(monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracle import dominant_factor, expansion_identity_defect
 from telecap import capacity, linalg, teleport
-from telecap.capacity import analyze
+from telecap.capacity import analyze, canonical_state
 from telecap.corpus import generate_planted, ghz_channel, n_bell_channel
 from telecap.states import (
     ChannelState,
@@ -182,7 +182,7 @@ class TestTeleportBell:
     def test_single_pair_all_branches_faithful(self):
         ch = n_bell_channel(1)
         payload = random_pure_state(1, 11)
-        res = teleport_bell(ch, payload)
+        res = teleport_bell(ch, payload, analyze(ch))
         assert res.capacity == 1 and res.payload_qubits == 1
         assert len(res.branches) == 4
         for b in res.branches:
@@ -191,7 +191,8 @@ class TestTeleportBell:
         assert res.total_probability == pytest.approx(1.0, abs=1e-12)
 
     def test_message_bits_enumerate_branches(self):
-        res = teleport_bell(n_bell_channel(1), random_pure_state(1, 12))
+        ch = n_bell_channel(1)
+        res = teleport_bell(ch, random_pure_state(1, 12), analyze(ch))
         assert sorted(b.bits for b in res.branches) == ["00", "01", "10", "11"]
         for b in res.branches:
             assert b.corrections == (b.outcomes[0] + 1,)
@@ -199,20 +200,21 @@ class TestTeleportBell:
     def test_entangled_payload_two_pairs(self):
         ch = n_bell_channel(2)
         payload = random_pure_state(2, 13)   # generically entangled
-        res = teleport_bell(ch, payload)
+        res = teleport_bell(ch, payload, analyze(ch))
         assert len(res.branches) == 16
         assert res.min_fidelity > 1 - 1e-12
         assert res.total_probability == pytest.approx(1.0, abs=1e-12)
 
     def test_payload_smaller_than_capacity(self):
         ch = n_bell_channel(2)
-        res = teleport_bell(ch, random_pure_state(1, 14))
+        res = teleport_bell(ch, random_pure_state(1, 14), analyze(ch))
         assert res.payload_qubits == 1 and len(res.branches) == 4
         assert res.min_fidelity > 1 - 1e-12
 
     def test_payload_larger_than_capacity_raises(self):
+        ch = n_bell_channel(1)
         with pytest.raises(CapacityShortfall):
-            teleport_bell(n_bell_channel(1), random_pure_state(2, 15))
+            teleport_bell(ch, random_pure_state(2, 15), analyze(ch))
 
     def test_over_planted_channel(self):
         p = generate_planted(3, 3, 2, seed=16)
@@ -230,7 +232,7 @@ class TestTeleportBell:
 
     def test_ghz_teleports_one_qubit(self):
         ch = ghz_channel(5, 2)
-        res = teleport_bell(ch, random_pure_state(1, 20))
+        res = teleport_bell(ch, random_pure_state(1, 20), analyze(ch))
         assert res.capacity == 1
         assert res.min_fidelity > 1 - 1e-10
 
@@ -247,23 +249,24 @@ class TestSampling:
     def test_deterministic_per_seed(self):
         ch = n_bell_channel(1)
         payload = random_pure_state(1, 22)
-        a = teleport_bell(ch, payload, mode="sample", seed=5, trials=6)
-        b = teleport_bell(ch, payload, mode="sample", seed=5, trials=6)
+        rep = analyze(ch)
+        a = teleport_bell(ch, payload, rep, mode="sample", seed=5, trials=6)
+        b = teleport_bell(ch, payload, rep, mode="sample", seed=5, trials=6)
         assert [x.outcomes for x in a.branches] == [x.outcomes for x in b.branches]
 
     def test_seed_changes_outcomes(self):
         ch = n_bell_channel(1)
-        payload = random_pure_state(1, 22)
+        payload, rep = random_pure_state(1, 22), analyze(ch)
         runs = {
             tuple(x.outcomes for x in
-                  teleport_bell(ch, payload, mode="sample", seed=s, trials=8).branches)
+                  teleport_bell(ch, payload, rep, mode="sample", seed=s, trials=8).branches)
             for s in range(4)
         }
         assert len(runs) > 1
 
     def test_sampled_branches_faithful(self):
         p = generate_planted(2, 2, 1, seed=23)
-        res = teleport_bell(p.channel, random_pure_state(1, 24),
+        res = teleport_bell(p.channel, random_pure_state(1, 24), analyze(p.channel),
                             mode="sample", seed=1, trials=5)
         assert len(res.branches) == 5
         assert res.min_fidelity > 1 - 1e-9
@@ -271,21 +274,20 @@ class TestSampling:
             assert b.probability == pytest.approx(0.25, abs=1e-9)
 
     def test_bad_mode_rejected(self):
+        ch = n_bell_channel(1)
         with pytest.raises(ValueError, match="mode"):
-            teleport_bell(n_bell_channel(1), random_pure_state(1, 1), mode="blend")
+            teleport_bell(ch, random_pure_state(1, 1), analyze(ch), mode="blend")
 
     def test_bad_trials_rejected(self):
+        ch = n_bell_channel(1)
         with pytest.raises(ValueError, match="trials"):
-            teleport_bell(n_bell_channel(1), random_pure_state(1, 1),
-                          mode="sample", trials=0)
+            teleport_bell(ch, random_pure_state(1, 1), analyze(ch), mode="sample", trials=0)
 
     @staticmethod
     def _count_work(monkeypatch):
         calls = []
-        for name in ("analyze", "_prepare"):
-            fn = getattr(teleport, name)
-            monkeypatch.setattr(teleport, name,
-                                lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+        fn = teleport._prepare
+        monkeypatch.setattr(teleport, "_prepare", lambda *a: calls.append("_prepare") or fn(*a))
         return calls
 
     @pytest.mark.parametrize("kwargs", [{"mode": "smaple"}]
@@ -293,25 +295,28 @@ class TestSampling:
     def test_bad_request_rejected_before_any_work(self, monkeypatch, kwargs):
         calls = self._count_work(monkeypatch)
         ch = n_bell_channel(1)
+        rep = analyze(ch)
         for run in (teleport_bell, teleport_circuit):
             with pytest.raises(ValueError, match="mode|trials"):
-                run(ch, random_pure_state(1, 1), **kwargs)
+                run(ch, random_pure_state(1, 1), rep, **kwargs)
         assert calls == []
-        teleport_bell(ch, random_pure_state(1, 1))
-        assert calls == ["analyze", "_prepare"]
+        teleport_bell(ch, random_pure_state(1, 1), rep)
+        assert calls == ["_prepare"]
 
     def test_trials_refused_above_budget_before_any_work(self, monkeypatch):
         calls = self._count_work(monkeypatch)
         monkeypatch.setattr(capacity, "DENSE_BUDGET_BYTES", 1 << 19)
         ch, payload = n_bell_channel(1), random_pure_state(1, 1)
+        rep = analyze(ch)
         # 1000 trials at _TRIAL_BYTES, _JOINT_COPIES 3-qubit joint states
         # and _RUN_BYTES: 680,000 + 384 + 32,768 bytes
         for run in (teleport_bell, teleport_circuit):
             with pytest.raises(ValueError, match="^the run of 1,000 sampled trials needs "
                                                  "713,152 bytes, above the 524,288-byte budget$"):
-                run(ch, payload, mode="sample", seed=1, trials=1000)
+                run(ch, payload, rep, mode="sample", seed=1, trials=1000)
         assert calls == []
-        assert len(teleport_bell(ch, payload, mode="sample", seed=1, trials=700).branches) == 700
+        assert len(teleport_bell(ch, payload, rep, mode="sample", seed=1,
+                                 trials=700).branches) == 700
 
 
 class TestMethodEquivalence:
@@ -345,6 +350,8 @@ class TestReportChecks:
             for mode in ("exhaustive", "sample"):
                 with pytest.raises(ValueError, match="unitary"):
                     run(ch, payload, bad, mode=mode, seed=1, trials=2)
+        with pytest.raises(ValueError, match="^report's u_a or u_b is not unitary within 1e-9$"):
+            canonical_state(ch, bad)
 
     def test_caller_writes_do_not_reach_report(self):
         ch, rep, payload = self._planted()
@@ -359,9 +366,9 @@ class TestReportChecks:
         calls = []
         check = linalg.is_unitary
 
-        def counted(u, tol=1e-9):
+        def counted(u):
             calls.append(u)
-            return check(u, tol)
+            return check(u)
 
         monkeypatch.setattr(linalg, "is_unitary", counted)
         for run in (teleport_bell, teleport_circuit):
