@@ -67,8 +67,12 @@ __all__ = [
     "canonical_state",
 ]
 
-_GS_ACCEPT = 1e-7  # Gram-Schmidt residual norm below which columns are dependent
-_FACTOR_TOL = 1e-10  # spectral-norm defect allowed in u_a's small factors
+# Gram-Schmidt residual norm at or below which columns are dependent: a kept
+# column weighs more than ABSENT_WEIGHT, so its norm is above 1e-6.  1e-7.
+_GS_ACCEPT = np.sqrt(ABSENT_WEIGHT) / 10
+# Spectral-norm defect allowed in u_a's small factors: synthesize_u_a's bound
+# on the dense defect, 5.1 times this, must stay below UNITARY_TOL.  1e-10.
+_FACTOR_TOL = linalg.UNITARY_TOL / 10
 
 # Bytes one request may claim for an object of O(4**max(m, n)) entries: the
 # dense purifier assembled from its factors, or the document analyze --report
@@ -253,7 +257,7 @@ def entanglement_entropy(channel: ChannelState) -> float:
 
 
 def _spectrum_entropy(p: np.ndarray) -> float:
-    p = p[p > 1e-18]
+    p = p[p > ABSENT_WEIGHT]
     return float(-(p @ np.log2(p)) + 0.0)  # + 0.0 turns a product state's -0.0 into 0.0
 
 
@@ -319,7 +323,7 @@ def verify_condition(channel: ChannelState, u_b, d: int, eps: float = DEFAULT_EP
     I/2**d with the uniform block on the trailing d qubits, within eps in
     max norm.  The residual is read off the transformed density itself by
     tracing out the uniform qubits, so the test has no free parameters.
-    d = 0 always passes.
+    d = 0 always passes; a d outside 0..min(m, n) raises ValueError.
     """
     return _certificate(channel, u_b, d, eps)[2]
 
@@ -327,9 +331,9 @@ def verify_condition(channel: ChannelState, u_b, d: int, eps: float = DEFAULT_EP
 def _certificate(channel: ChannelState, u_b, d: int, eps: float):
     """verify_condition's checks, then (u_b as an array, eta_hat, verdict)."""
     _check_eps(eps)
-    n = len(channel.bob)
-    if not 0 <= d <= n:
-        raise ValueError("d outside 0..n")
+    m, n = len(channel.alice), len(channel.bob)
+    if not 0 <= d <= min(m, n):
+        raise ValueError(f"d = {d} outside 0..min(m, n) = 0..min({m}, {n})")
     u_b = np.asarray(u_b, dtype=np.complex128)
     if u_b.shape != (1 << n, 1 << n) or not linalg.is_unitary(u_b):
         raise ValueError("u_b is not a receiver-side unitary")

@@ -33,7 +33,7 @@ import numpy as np
 from .capacity import DEFAULT_EPS, _check_budget, _two_adic, analyze, certify
 from .corpus import generate_planted, ghz_canonical_form, ghz_channel, ghz_cnot_chain
 from .linalg import NORM_TOL
-from .states import MAX_QUBITS, ChannelState, PureState, fidelity, random_pure_state
+from .states import MAX_QUBITS, ChannelState, PureState, random_pure_state
 from .teleport import CapacityShortfall, teleport_bell, teleport_circuit
 
 __all__ = [
@@ -385,8 +385,8 @@ def _cmd_demo_ghz(args) -> int:
     if not 1 <= m < n:
         raise CliFailure(EXIT_INFEASIBLE, "need 1 <= split < qubits")
     channel = ghz_channel(n, m)
-    chained = PureState(channel.state.amplitudes[ghz_cnot_chain(n, m)])
-    match = fidelity(chained, ghz_canonical_form(n)) > 1.0 - 1e-12
+    chained = channel.state.amplitudes[ghz_cnot_chain(n, m)]
+    match = np.array_equal(chained, ghz_canonical_form(n).amplitudes)
     print(f"cnot_chain_reaches_bell={'true' if match else 'false'}")
     return _teleport_run(channel, None, args, args.method)
 

@@ -29,8 +29,8 @@ UNITARY_TOL = 1e-9          # max-norm defect of U†U - I, or of a Gram matrix 
 NORM_TOL = 1e-9             # allowed | ||v|| - 1 | of a state vector
 ABSENT_WEIGHT = 1e-12       # a branch probability or eigenvalue this small is absent
 
-_HERMITIAN_TOL = 1e-9
-_PHASE_TOL = 1e-12
+_HERMITIAN_TOL = 1e-9       # max-norm defect of H - H† that hermitian_eig accepts
+_PHASE_TOL = 1e-12          # an eigenvector component this large in magnitude sets its phase
 
 
 def _check_eps(eps: float) -> None:
@@ -112,7 +112,7 @@ def cluster_spectrum(eigenvalues, eps: float = DEFAULT_EPS) -> tuple[EigenvalueC
         raise ValueError("empty spectrum")
     if not np.isfinite(w).all():
         raise ValueError("eigenvalues contain non-finite entries")
-    if np.any(np.diff(w) > 1e-12):
+    if np.any(np.diff(w) > ABSENT_WEIGHT):
         raise ValueError("eigenvalues must be sorted descending")
     clusters = []
     start = 0

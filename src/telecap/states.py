@@ -245,7 +245,7 @@ def project_and_collapse(state: PureState, targets, basis, outcome: int):
     basis is a sequence of PureStates on len(targets) qubits, orthonormal
     within 1e-9.  Returns (probability, collapsed PureState); the measured
     qubits stay in the measured basis state.  Outcomes with probability
-    below 1e-12 are unreachable and collapse to None.
+    at or below 1e-12 are unreachable and collapse to None.
     """
     targets = _check_targets(targets, state.n_qubits)
     mat = np.column_stack([b.amplitudes for b in basis])
@@ -258,7 +258,7 @@ def project_and_collapse(state: PureState, targets, basis, outcome: int):
     b = mat[:, outcome]
     coeffs = b.conj() @ _grouped(state.amplitudes, targets)
     probability = float(np.real(np.vdot(coeffs, coeffs)))
-    if probability < ABSENT_WEIGHT:
+    if probability <= ABSENT_WEIGHT:
         return probability, None
     return probability, _ungrouped(np.outer(b, coeffs / np.sqrt(probability)), targets)
 

@@ -221,7 +221,7 @@ def _round(state: PureState, qubits, method: str, outcome, rng):
     elif outcome not in (0, 1, 2, 3):
         raise ValueError("raw outcome must be 0..3")
     probability = float(probs[outcome])
-    if probability < ABSENT_WEIGHT:
+    if probability <= ABSENT_WEIGHT:
         return outcome, probability, None
     row = table[outcome] / np.sqrt(probability)
     psi = np.multiply.outer(_PROTOCOLS[method].basis[outcome].amplitudes, row)
@@ -329,6 +329,15 @@ _PCG_JUMPS = _pcg_jumps(MAX_QUBITS // 2)
 _INC_SHIFT = np.array([[0], [1]], dtype=np.uint64)  # row 1: inc = 2 * stream + 1
 
 
+def _entropy_words(x) -> int:
+    """How many 32-bit words a SeedSequence packs entropy or a spawn key
+    x into: an integer takes max(1, ceil(bits / 32)) words, little end
+    first, and a sequence or array the sum over its items."""
+    if isinstance(x, (int, np.integer)):
+        return max(1, -(-int(x).bit_length() // 32))
+    return sum(map(_entropy_words, x))
+
+
 def _trial_uniforms(seed: np.random.SeedSequence, trials: int, k: int) -> np.ndarray:
     """The (trials, k) variates np.random.default_rng(child).random(k)
     draws from each of the next `trials` children seed.spawn would hand
@@ -338,20 +347,18 @@ def _trial_uniforms(seed: np.random.SeedSequence, trials: int, k: int) -> np.nda
     parent's spawn key and one word of its own, so the parent's pool is
     the child's mixer after all words but the last: the child's pool is
     that one word mixed in at hash call index pool_size * L, where L
-    counts the words before it.  generate_state(4, uint64) hashes eight
-    words cycled over that pool and pairs them little-endian into PCG64's
-    seed s and stream; inc = 2 * stream + 1.  Each output is the XSL-RR
-    of the state _pcg_jumps gives, and random() keeps its top 53 bits.
-    Trials run along the last axis throughout.  The seed is read, not
-    advanced.
+    counts the words before it (_entropy_words).  generate_state(4,
+    uint64) hashes eight words cycled over that pool and pairs them
+    little-endian into PCG64's seed s and stream; inc = 2 * stream + 1.
+    Each output is the XSL-RR of the state _pcg_jumps gives, and random()
+    keeps its top 53 bits.  Trials run along the last axis throughout.
+    The seed is read, not advanced.
     """
     first = seed.n_children_spawned
     if first + trials >= 1 << 32:
         raise ValueError("trials would take the seed's spawn count to 2**32")
-    # L, counted the way numpy assembles a SeedSequence's entropy words
-    coerce = np.random.bit_generator._coerce_to_uint32_array
     size = seed.pool_size
-    ahead = max(size, len(coerce(seed.entropy))) + len(coerce(seed.spawn_key))
+    ahead = max(size, _entropy_words(seed.entropy)) + _entropy_words(seed.spawn_key)
     xor, mult = _hash_keys(_INIT_A, _MULT_A, size * ahead, size)
     own = (np.arange(first, first + trials, dtype=np.uint32) ^ xor) * mult
     pool = _MIX_L * seed.pool[:, None] - _MIX_R * (own ^ own >> 16)
@@ -468,8 +475,8 @@ def teleport_bell(channel: ChannelState, payload: PureState, report: AnalysisRep
     the report's unitaries pass the unitary check and fit the channel).
 
     Exhaustive mode lists all 4**k classical branches (omitting those with
-    probability below 1e-12); sample mode draws `trials` runs, one branch
-    record per run.  Run i draws its rounds from the generator
+    probability at or below 1e-12); sample mode draws `trials` runs, one
+    branch record per run.  Run i draws its rounds from the generator
     np.random.default_rng(child), where child is the SeedSequence
     seed.spawn would hand out i-th next (seed is an int, None or entropy
     list is first made a SeedSequence).  A SeedSequence seed is read, not

@@ -238,6 +238,24 @@ def test_trial_uniforms_match_spawned_generators(entropy, spawn_key):
             assert np.array_equal(_trial_uniforms(seed, trials, k), want), (trials, k)
 
 
+WORD_SEEDS = [1, 2**32 - 1, 2**32, 2**64 - 1, 2**200 - 1, [1, 2**40, 3, 2**70],
+              np.arange(6, dtype=np.uint32)]
+
+
+@pytest.mark.parametrize("as_key", [False, True], ids=["entropy", "spawn-key"])
+@pytest.mark.parametrize("value", WORD_SEEDS,
+                         ids=["1bit", "32bit", "33bit", "64bit", "200bit", "list", "uint32"])
+def test_trial_uniforms_count_entropy_words(value, as_key):
+    # integers of 1, 32, 33, 64 and 200 bits, a list and a uint32 array, as
+    # the entropy and as a spawn key: the word count places the child's own
+    # word, and an entropy of more than pool_size words or any spawn key moves it
+    def fresh():
+        return (np.random.SeedSequence(7, spawn_key=tuple(np.atleast_1d(value).tolist()))
+                if as_key else np.random.SeedSequence(value))
+
+    assert np.array_equal(_trial_uniforms(fresh(), 5, 3), spawned_uniforms(fresh(), 5, 3))
+
+
 @pytest.mark.parametrize("pool_size", [5, 11])
 def test_trial_uniforms_follow_pool_size(pool_size):
     seed = np.random.SeedSequence(2**70 + 3, spawn_key=(4,), pool_size=pool_size)

@@ -185,6 +185,17 @@ class TestSynthesis:
         with pytest.raises(ValueError, match="unitary"):
             verify_condition(ch, np.ones((2, 2)), 1)
 
+    def test_d_is_capped_by_the_smaller_party(self):
+        # a 1|2 channel: eps = 0.3 is loose enough for its receiver density
+        # to pass a d = 2 test, but the sender has no room for two Bell halves
+        ch = generate_planted(1, 2, 1, seed=3).channel
+        u_b = analyze(ch).u_b
+        assert verify_condition(ch, u_b, 1, eps=0.3)
+        message = r"d = 2 outside 0\.\.min\(m, n\) = 0\.\.min\(1, 2\)"
+        for call in (verify_condition, synthesize_u_a):
+            with pytest.raises(ValueError, match=message):
+                call(ch, u_b, 2, 0.3)
+
     def test_u_a_requires_valid_condition(self):
         ch = ghz_channel(4, 2)
         rep = analyze(ch)
