@@ -155,6 +155,10 @@ MUTANTS = [
            ("tests/test_capacity.py",)),
     Mutant("teleport.py", "return max(1, -(-int(x).bit_length() // 32))",
            "return max(1, int(x).bit_length() // 32)", ("tests/test_branch_table.py",)),
+    # ------------------------------------------------------------------
+    # The canonical form a report keeps is keyed by the channel object:
+    # reused for any channel of the same split, it teleports another state.
+    Mutant("capacity.py", "kept[0] is channel", "True", ("tests/test_kept_canonical.py",)),
 ]
 
 

@@ -12,7 +12,9 @@ pure states with the same reduced density on one side differ only by a
 unitary on the other side.  The report keeps that purifier as analyze
 built and checked it, dense or as low-rank factors, and canonicalizes a
 channel itself (AnalysisReport._canonicalize), so the teleport module
-never handles the two forms apart.
+never handles the two forms apart.  It keeps the canonical form of the
+last channel object it canonicalized, so repeated teleports over one
+analysis apply the local unitaries once.
 
 Conventions fixed here and relied on by the teleport module:
 
@@ -161,6 +163,15 @@ class AnalysisReport:
     DENSE_BUDGET_BYTES, and caches it.  _purifier is not an init field,
     so dataclasses.replace (which reads the dense field) and hand-built
     reports start without it, and their purifier is checked densely.
+
+    _canonicalize keeps the last channel object it canonicalized and that
+    channel's canonical matrix u_a M u_bᵀ, read-only, as _kept; a call on
+    the same object reuses the matrix after the same checks.  The key is
+    the object's identity, which is sound for the reason the unitary flag
+    is: a channel is frozen and its state owns read-only amplitudes.  So a
+    report holds at most one channel and one matrix of its size beyond its
+    own fields.  _kept is not an init field either, so replaced and
+    hand-built reports start empty, and canonical_state leaves it alone.
     """
 
     entropy_bits: float
@@ -173,6 +184,7 @@ class AnalysisReport:
     pairs: tuple[tuple[int, int], ...]
     swapped: bool
     _purifier: np.ndarray | _LowRank | None = field(default=None, init=False, repr=False)
+    _kept: tuple[ChannelState, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("u_a", "u_b", "eta"):
@@ -196,13 +208,14 @@ class AnalysisReport:
         return linalg.is_unitary(getattr(self, structural)) and (
             self._purifier is not None or linalg.is_unitary(getattr(self, purifying)))
 
-    def _oriented(self, dims: tuple[int, int]):
+    def _oriented(self, channel: ChannelState):
         """(purifier, structural unitary), the purifier as analyze kept it,
-        for a channel of dims = (sender, receiver) dimensions.  Raises
-        ValueError unless both pass the unitary check and match those
-        dimensions, the purifying (larger) party first."""
+        for the channel.  Raises ValueError unless both pass the unitary
+        check and match the channel's (sender, receiver) dimensions, the
+        purifying (larger) party first."""
         if not self.unitary:
             raise ValueError("report's u_a or u_b is not unitary within 1e-9")
+        dims = (1 << len(channel.alice), 1 << len(channel.bob))
         structural, purifying = ("u_a", "u_b") if self.swapped else ("u_b", "u_a")
         purifier = getattr(self, purifying) if self._purifier is None else self._purifier
         u_struct = getattr(self, structural)
@@ -210,17 +223,26 @@ class AnalysisReport:
             raise ValueError("report's unitaries do not match the channel's parties")
         return purifier, u_struct
 
-    def _canonicalize(self, mat: np.ndarray) -> np.ndarray:
-        """u_a mat u_bᵀ for a (sender x receiver) amplitude matrix, checked
-        by _oriented: the channel after both local unitaries.  The matrix is
-        oriented with the purifying (larger) party's rows; the structural
-        unitary acts on its columns first, then the purifier on its rows.
+    def _canonicalize(self, channel: ChannelState) -> np.ndarray:
+        """u_a M u_bᵀ, read-only, for the channel's (sender x receiver)
+        amplitude matrix M, checked by _oriented: the channel after both
+        local unitaries.  M is oriented with the purifying (larger) party's
+        rows; the structural unitary acts on its columns first, then the
+        purifier on its rows.  The result for the last channel object is
+        kept, so a repeated call on that object skips the products but not
+        the checks.
         """
-        purifier, u_struct = self._oriented(mat.shape)
+        purifier, u_struct = self._oriented(channel)
+        kept = self._kept
+        if kept is not None and kept[0] is channel:
+            return kept[1]
+        mat = bipartition_matrix(channel)
         if self.swapped:
             mat = mat.T
-        mat = purifier @ (mat @ u_struct.T)
-        return mat.T if self.swapped else mat
+        mat = _read_only(purifier @ (mat @ u_struct.T))
+        kept = (channel, mat.T if self.swapped else mat)
+        object.__setattr__(self, "_kept", kept)
+        return kept[1]
 
 
 def _adoptable(m) -> bool:
@@ -587,7 +609,7 @@ def canonical_state(channel: ChannelState, report: AnalysisReport) -> PureState:
     reaches: d singlets on report.pairs times the canonical purification of
     the residual density.  Raises ValueError, as a teleport does, unless
     the report's unitaries pass the unitary check and fit the channel."""
-    _, u_struct = report._oriented((1 << len(channel.alice), 1 << len(channel.bob)))
+    _, u_struct = report._oriented(channel)
     oriented = channel.swapped() if report.swapped else channel
     d = report.capacity
     m, n = len(oriented.alice), len(oriented.bob)

@@ -4,15 +4,17 @@ accounting.
 Both protocol flavours consume a channel together with its analysis report:
 the report first canonicalizes the channel alone, before the payload
 joins, turning it into singlet pairs plus a residual factor; then each
-payload qubit is pushed through one pair.  The report checks its
-unitaries against the channel and applies its purifier in the form
-analyze built it, so where that is the identity plus a rank-2r
-correction, a teleport neither assembles nor multiplies by the dense
-2**m x 2**m matrix.  The Bell flavour measures
-(payload qubit, sender half) directly in the Bell basis; the circuit
-flavour first applies the standard two-qubit measurement circuit and reads
-both qubits in the computational basis.  The two differ only in how the
-classical two-bit message is labeled.
+payload qubit is pushed through one pair.  The report keeps that
+canonical form for the last channel object it was given, so further
+teleports of that channel over the same report skip the local
+unitaries.  The report checks its unitaries against the channel on every
+call and applies its purifier in the form analyze built it, so where
+that is the identity plus a rank-2r correction, a teleport neither
+assembles nor multiplies by the dense 2**m x 2**m matrix.  The Bell
+flavour measures (payload qubit, sender half) directly in the Bell
+basis; the circuit flavour first applies the standard two-qubit
+measurement circuit and reads both qubits in the computational basis.
+The two differ only in how the classical two-bit message is labeled.
 
 Every branch comes from one table.  The joint state is built straight in
 the layout the walk needs: one outer product of the payload with the
@@ -48,7 +50,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .capacity import AnalysisReport, _check_budget, bipartition_matrix
+from .capacity import AnalysisReport, _check_budget
 from .linalg import ABSENT_WEIGHT
 from .states import (
     MAX_QUBITS,
@@ -234,8 +236,9 @@ def _prepare(channel: ChannelState, payload: PureState, report: AnalysisReport) 
 
     The report canonicalizes the channel's (sender x receiver) amplitude
     matrix before the payload joins, so the cost of the local unitaries
-    does not grow with the payload; it raises ValueError when they are not
-    unitary or do not match the channel's parties.  The payload then joins
+    does not grow with the payload, and only once per channel object while
+    it keeps the result; it raises ValueError when they are not unitary or
+    do not match the channel's parties, on every call.  The payload then joins
     that matrix in one outer product, and one copying transpose groups the
     product: pair t's (message t, sender half, receiver half) axes side by
     side, pair 0 first, then the qubits no pair uses, in ascending order.
@@ -245,7 +248,7 @@ def _prepare(channel: ChannelState, payload: PureState, report: AnalysisReport) 
         raise CapacityShortfall(
             f"payload has {k} qubits but the channel teleports {report.capacity}"
         )
-    canonical = report._canonicalize(bipartition_matrix(channel))
+    canonical = report._canonicalize(channel)
     first = [q for t, (a, b) in enumerate(report.pairs[:k]) for q in (t, a + k, b + k)]
     return _tensor_grouped(payload, canonical, channel.alice + channel.bob, first)
 
@@ -417,13 +420,18 @@ def _sampled_indices(probabilities: np.ndarray, k: int, seed, trials: int) -> np
 # streams _trial_uniforms derives outweigh the record the trial leaves (160
 # bytes): 288 bytes with a 1-qubit payload, 96 more per payload qubit, so
 # 672 with 5 qubits, the most that fit the cap beside their pairs.  Per
-# run: the walk's two copies of the joint state, plus the channel's matrix
-# and its canonical form while the payload joins (at most half a copy
-# each, with a 1-qubit payload), plus at most 32 KiB of small arrays and
-# objects.  The run's branch labels (4**k rows of about 180 bytes) are
-# built after the walk, beside the one copy left: about 9 KiB at k = 3,
-# under one copy for k >= 4.  A joint state over the qubit cap is sized
-# at the cap, so the checks that refuse it still decide.
+# run: the walk's two copies of the joint state, plus the channel's
+# canonical form, which the report keeps through the walk and after it
+# (half a copy with a 1-qubit payload, 2**-k of one with k qubits), plus at
+# most 32 KiB of small arrays and objects.  The channel's matrix and the
+# intermediate product are freed before the payload joins.  At the cap,
+# 7|8 with a 1-qubit payload peaks at 2.50 copies and 6|6 with a 4-qubit
+# payload at 2.07, kept form included, whether the run canonicalizes the
+# channel or reuses the form kept by an earlier run.  The run's branch
+# labels (4**k rows of about 180 bytes) are built after the walk, beside
+# the one copy left: about 9 KiB at k = 3, under one copy for k >= 4.  A
+# joint state over the qubit cap is sized at the cap, so the checks that
+# refuse it still decide.
 _TRIAL_BYTES = 680
 _JOINT_COPIES = 3
 _RUN_BYTES = 1 << 15

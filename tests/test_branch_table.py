@@ -130,19 +130,25 @@ def test_prepare_matches_grouped_oracle(m, n, d, alice, bob, swapped, factored):
                          ids=["exhaustive", "sample"])
 def test_branch_walk_memory(kwargs):
     # the walk holds the joint state, its pair-grouped copy and one matmul
-    # result; a k-fold operator or one more full copy breaks the bound
+    # result; a k-fold operator or one more full copy breaks the bound.
+    # The first teleport on a fresh report canonicalizes the channel, and
+    # the second reuses the canonical form that the report keeps.
     channel = generate_planted(6, 6, 4, seed=76).channel
-    report = analyze(channel)
     payload = random_pure_state(4, seed=904)
     joint_bytes = 16 * 2 ** (payload.n_qubits + channel.state.n_qubits)
-    teleport_bell(channel, payload, report, **kwargs)
+    teleport_bell(channel, payload, analyze(channel), **kwargs)
+    report = analyze(channel)
+    peaks = []
     tracemalloc.start()
     try:
-        teleport_bell(channel, payload, report, **kwargs)
-        peak = tracemalloc.get_traced_memory()[1]
+        for _ in range(2):
+            tracemalloc.reset_peak()
+            teleport_bell(channel, payload, report, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * joint_bytes
+    assert report._kept[0] is channel
+    assert max(peaks) <= 3.5 * joint_bytes
 
 
 @pytest.mark.parametrize("method", sorted(TELEPORTS))

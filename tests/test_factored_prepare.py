@@ -14,7 +14,7 @@ from telecap import capacity
 from telecap.capacity import _LowRank, analyze, canonical_state, certify, synthesize_u_a
 from telecap.cli import main, save_state_file
 from telecap.corpus import generate_planted
-from telecap.states import random_pure_state
+from telecap.states import ChannelState, random_pure_state
 from telecap.teleport import _prepare, teleport_bell, teleport_circuit
 
 # splits on both sides of 2r < 2**max(m, n), in both orientations
@@ -127,8 +127,11 @@ def test_dense_purifier_assembled_once_on_read(monkeypatch, tmp_path, m, n):
     assert (rep.u_b if rep.swapped else rep.u_a) is purifier and len(calls) == 1
     w, dc = rep._purifier.w, rep._purifier.dc
     assert np.array_equal(purifier, np.eye(64) + w @ dc @ w.conj().T)
-    # once read, the dense field is not what a teleport multiplies by
-    assert teleport_bell(channel, payload, rep).min_fidelity >= 1 - 1e-9
+    # once read, the dense field is not what a teleport multiplies by; a
+    # new channel object makes the report canonicalize again
+    fresh = ChannelState(channel.state, channel.alice, channel.bob)
+    assert teleport_bell(fresh, payload, rep).min_fidelity >= 1 - 1e-9
+    assert rep._kept[0] is fresh
     assert len(calls) == 1 and isinstance(rep._purifier, _LowRank)
 
 
