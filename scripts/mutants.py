@@ -35,6 +35,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "telecap"
 TOL = "tests/test_tolerances.py"
+REPORT = "tests/test_cli.py::TestAnalyzeCommand"
 
 
 class Mutant(NamedTuple):
@@ -57,8 +58,8 @@ MUTANTS = [
     Mutant("capacity.py", "eta_hat, np.eye(du) / du))) <= eps)",
            "eta_hat, np.eye(du) / du))) <= 1e3 * eps)"),
     Mutant("capacity.py", "if np.max(off) > ABSENT_WEIGHT:", "if np.max(off) > 1e-3:"),
-    Mutant("capacity.py", "np.clip(mu, 0.0, None) > ABSENT_WEIGHT)",
-           "np.clip(mu, 0.0, None) > 1e-8)"),
+    Mutant("capacity.py", "np.clip(mu, 0.0, None) * 2.0 ** -d > ABSENT_WEIGHT)",
+           "np.clip(mu, 0.0, None) * 2.0 ** -d > 1e-8)"),
     Mutant("capacity.py", "keep = np.flatnonzero(weights > ABSENT_WEIGHT)",
            "keep = np.flatnonzero(weights > 1e-8)"),
     Mutant("capacity.py", "_FACTOR_TOL = linalg.UNITARY_TOL / 10", "_FACTOR_TOL = 1e-4"),
@@ -129,10 +130,10 @@ MUTANTS = [
     Mutant("capacity.py", "p = p[p > ABSENT_WEIGHT]", "p = p[p > 1e-13]"),
     Mutant("capacity.py", "if np.max(off) > ABSENT_WEIGHT:", "if np.max(off) > 1e-11:"),
     Mutant("capacity.py", "if np.max(off) > ABSENT_WEIGHT:", "if np.max(off) > 1e-13:"),
-    Mutant("capacity.py", "np.clip(mu, 0.0, None) > ABSENT_WEIGHT)",
-           "np.clip(mu, 0.0, None) > 1e-11)"),
-    Mutant("capacity.py", "np.clip(mu, 0.0, None) > ABSENT_WEIGHT)",
-           "np.clip(mu, 0.0, None) > 1e-13)"),
+    Mutant("capacity.py", "np.clip(mu, 0.0, None) * 2.0 ** -d > ABSENT_WEIGHT)",
+           "np.clip(mu, 0.0, None) * 2.0 ** -d > 1e-11)"),
+    Mutant("capacity.py", "np.clip(mu, 0.0, None) * 2.0 ** -d > ABSENT_WEIGHT)",
+           "np.clip(mu, 0.0, None) * 2.0 ** -d > 1e-13)"),
     Mutant("capacity.py", "keep = np.flatnonzero(weights > ABSENT_WEIGHT)",
            "keep = np.flatnonzero(weights > 1e-11)"),
     Mutant("capacity.py", "keep = np.flatnonzero(weights > ABSENT_WEIGHT)",
@@ -148,6 +149,11 @@ MUTANTS = [
     Mutant("states.py", "if probability <= ABSENT_WEIGHT:", "if probability <= 1e-11:"),
     Mutant("states.py", "if probability <= ABSENT_WEIGHT:", "if probability <= 1e-13:"),
     Mutant("states.py", "if probability <= ABSENT_WEIGHT:", "if probability < ABSENT_WEIGHT:"),
+    # A residual label is cut in the unit of its columns' weight, as the
+    # sender unitary cuts the columns: in the unit of mu, a weight between
+    # 1e-12 / 2**d and 1e-12 is labelled but its columns are dropped.
+    Mutant("capacity.py", "np.clip(mu, 0.0, None) * 2.0 ** -d > ABSENT_WEIGHT)",
+           "np.clip(mu, 0.0, None) > ABSENT_WEIGHT)"),
     # ------------------------------------------------------------------
     # The certificate's capacity range, and the entropy-word count the
     # sampled path places a child's own word by.
@@ -159,6 +165,22 @@ MUTANTS = [
     # The canonical form a report keeps is keyed by the channel object:
     # reused for any channel of the same split, it teleports another state.
     Mutant("capacity.py", "kept[0] is channel", "True", ("tests/test_kept_canonical.py",)),
+    # ------------------------------------------------------------------
+    # verify names the first cluster whose multiplicity 2**d does not
+    # divide, and the largest Bell stack fills the 16-qubit cap.
+    Mutant("cli.py", "_two_adic(c.multiplicity) < d)", "_two_adic(c.multiplicity) <= d)",
+           ("tests/test_cli.py::TestVerifyCommand",)),
+    Mutant("corpus.py", "if not 1 <= n <= MAX_QUBITS // 2:", "if not 1 <= n < MAX_QUBITS // 2:",
+           ("tests/test_corpus.py::TestBellStacks",)),
+    # ------------------------------------------------------------------
+    # --report writes the purifier as the report keeps it: as its factors,
+    # on the purifying side.
+    Mutant("capacity.py", "return (p.w, p.dc) if isinstance(p, _LowRank) else None",
+           "return None", (REPORT,)),
+    Mutant("cli.py", 'doc["u_b" if report.swapped else "u_a"] = ',
+           'doc["u_a" if report.swapped else "u_b"] = ', (REPORT,)),
+    Mutant("cli.py", "[report.u_a, *factors] if report.swapped else [*factors, report.u_b]",
+           "[*factors, report.u_b] if report.swapped else [report.u_a, *factors]", (REPORT,)),
 ]
 
 

@@ -76,11 +76,9 @@ _GS_ACCEPT = np.sqrt(ABSENT_WEIGHT) / 10
 # on the dense defect, 5.1 times this, must stay below UNITARY_TOL.  1e-10.
 _FACTOR_TOL = linalg.UNITARY_TOL / 10
 
-# Bytes one request may claim for an object of O(4**max(m, n)) entries: the
-# dense purifier assembled from its factors, or the document analyze --report
-# builds.  Larger requests raise ValueError before allocating anything.  At
-# 3 GiB a 13-qubit purifier (1 GiB) and an 11|1 report (about 2.2 GiB at the
-# peak) still fit a 7 GiB machine; a 14-qubit purifier (4 GiB) does not pass.
+# Bytes one request may claim, for a dense purifier of O(4**max(m, n)) entries
+# or a run of sampled trials; above it ValueError is raised before any
+# allocation.  A 13-qubit purifier (1 GiB) fits; a 14-qubit one (4 GiB) not.
 DENSE_BUDGET_BYTES = 3 << 30
 
 
@@ -157,9 +155,9 @@ class AnalysisReport:
     read-only and owns its data is adopted as it is, anything else is
     copied.  analyze keeps the purifying unitary (u_a, or u_b when
     swapped) that it built and checked as _purifier: the dense matrix, or
-    the factors of I + W (C - I) W†.  _canonicalize applies the purifier
-    through it, factors included, and reading the u_a (or u_b) field of a
-    factored report assembles the dense 2**m x 2**m matrix once, within
+    the factors of I + W (C - I) W† (purifier_factors).  _canonicalize
+    applies the purifier through it, and reading the u_a (or u_b) field of
+    a factored report assembles the dense 2**m x 2**m matrix once, within
     DENSE_BUDGET_BYTES, and caches it.  _purifier is not an init field,
     so dataclasses.replace (which reads the dense field) and hand-built
     reports start without it, and their purifier is checked densely.
@@ -193,6 +191,13 @@ class AnalysisReport:
                 object.__setattr__(self, name, _read_only(np.array(m, dtype=np.complex128)))
         object.__setattr__(self, "pairs", tuple((int(a), int(b)) for a, b in self.pairs))
         object.__setattr__(self, "bob_relabeling", tuple(int(q) for q in self.bob_relabeling))
+
+    @property
+    def purifier_factors(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(W, C - I), read-only, when analyze kept the purifier (u_a, or
+        u_b when swapped) as I + W (C - I) W†; None otherwise."""
+        p = self._purifier
+        return (p.w, p.dc) if isinstance(p, _LowRank) else None
 
     @cached_property
     def unitary(self) -> bool:
@@ -374,7 +379,9 @@ def _targets(eta_hat: np.ndarray, u_b: np.ndarray, m: int, n: int, d: int, bell_
     |a(i, j)>, where the sender index a(i, j) packs the complemented Bell
     bits next to the purifying label j: Bell bits high when the sender
     keeps her Bell halves on her leading qubits (bell_high), low otherwise;
-    sign(i) is - when d minus the popcount of i is odd.
+    sign(i) is - when d minus the popcount of i is odd.  j is a label only
+    when its columns' weight mu_j / 2**d is above ABSENT_WEIGHT, the cutoff
+    _sender_unitary keeps them by.
 
     When no off-diagonal entry of eta_hat exceeds ABSENT_WEIGHT, as after
     analyze's u_b (the eigenbasis of the receiver's density), mu is
@@ -394,7 +401,7 @@ def _targets(eta_hat: np.ndarray, u_b: np.ndarray, m: int, n: int, d: int, bell_
         u_b = np.kron(basis.conj().T, np.eye(1 << d)) @ u_b
     order = np.argsort(-mu, kind="stable")
     mu = mu[order]
-    labels = np.flatnonzero(np.clip(mu, 0.0, None) > ABSENT_WEIGHT)
+    labels = np.flatnonzero(np.clip(mu, 0.0, None) * 2.0 ** -d > ABSENT_WEIGHT)
     da_res = 1 << (m - d)
     if labels.size and labels[-1] >= da_res:
         raise ArithmeticError("residual rank exceeds the sender's ancilla space")

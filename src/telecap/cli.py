@@ -30,7 +30,7 @@ from itertools import chain
 
 import numpy as np
 
-from .capacity import DEFAULT_EPS, _check_budget, _two_adic, analyze, certify
+from .capacity import DEFAULT_EPS, _two_adic, analyze, certify
 from .corpus import generate_planted, ghz_canonical_form, ghz_channel, ghz_cnot_chain
 from .linalg import NORM_TOL
 from .states import MAX_QUBITS, ChannelState, PureState, random_pure_state
@@ -137,29 +137,30 @@ def dump_document(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _pairs_text(a: np.ndarray) -> str:
-    """A complex array as a value of a dump_document object: nested lists
-    of [re, im] pairs, with the bytes json.dumps(..., indent=2) gives them.
-    Under indent, json falls back to its pure-Python encoder, which costs
-    seconds on a 16-qubit state, so one format string fills in every pair;
-    %r of a Python float is the shortest round-trip repr that json uses for
-    finite floats."""
+def _pairs_text(a: np.ndarray, level: int) -> str:
+    """A complex array as the value of a key indented level steps in a
+    dump_document object: nested lists of [re, im] pairs, with the bytes
+    json.dumps(..., indent=2) gives them.  Under indent, json falls back to
+    its pure-Python encoder, which costs seconds on a 16-qubit state, so one
+    format string fills in every pair; %r of a Python float is the shortest
+    round-trip repr that json uses for finite floats."""
     shape = a.shape + (2,)
     text = "%r"
     for depth in range(len(shape), 0, -1):  # the lists at this depth, innermost first
-        item = "\n" + "  " * (depth + 1)
-        text = f"[{item}" + f",{item}".join([text] * shape[depth - 1]) + "\n" + "  " * depth + "]"
+        item = "\n" + "  " * (level + depth)
+        text = f"[{item}" + f",{item}".join([text] * shape[depth - 1]) + item[:-2] + "]"
     return text % tuple(np.ravel(a).view(np.float64).tolist())
 
 
 def _document_pieces(doc: dict, arrays) -> list[str]:
     """dump_document(doc) as text pieces, its null values filled in order
-    by the arrays' pairs (a None array stays null).  No key or other value
-    of doc may print as null."""
+    by the arrays' pairs (a None array stays null).  Each null is the value
+    of an object key, and no key or other value of doc may print as null."""
     head, *tails = dump_document(doc).split("null")
     pieces = [head]
     for a, tail in zip(arrays, tails):
-        pieces += ["null" if a is None else _pairs_text(a), tail]
+        level = pieces[-1].rpartition("\n")[2].index('"') // 2  # the key's indent
+        pieces += ["null" if a is None else _pairs_text(a, level), tail]
     return pieces
 
 
@@ -250,21 +251,12 @@ def _print_analysis(report) -> None:
         print(f"pair {t}: alice_qubit={a} bob_qubit={b}")
 
 
-# Peak bytes per complex matrix entry while the --report text is built: the
-# format string, the floats and the text.  Measured under tracemalloc at 200
-# on planted 6|1 and 7|1 and at 218 on 8|1 and 9|1.
-_REPORT_BYTES_PER_ENTRY = 240
-
-
-def _write_report(path: str, report, channel: ChannelState) -> None:
-    """Write the --report document of the channel's report with the bytes
-    of json.dumps(doc, indent=2) plus a newline.  The budget is sized from
-    the channel's party sizes.  The text is built before the file is opened
-    and written all or nothing, so a refused or failed report leaves no new
-    file and an existing one as it was."""
-    dim_a, dim_b = 1 << len(channel.alice), 1 << len(channel.bob)
-    entries = dim_a * dim_a + dim_b * dim_b + (0 if report.eta is None else report.eta.size)
-    _check_budget(entries * _REPORT_BYTES_PER_ENTRY, "the --report document")
+def _write_report(path: str, report) -> None:
+    """Write a report as json.dumps(doc, indent=2) plus a newline, its
+    purifying field (u_a, or u_b when swapped) as the report keeps it:
+    dense, or {"w": W, "c_minus_i": C - I} for I + W (C - I) W†.  The text
+    is built before the file is opened and written all or nothing, so a
+    failed report leaves no new file and an existing one as it was."""
     doc = {
         "entropy_bits": report.entropy_bits,
         "capacity": report.capacity,
@@ -278,7 +270,13 @@ def _write_report(path: str, report, channel: ChannelState) -> None:
         "bob_relabeling": list(report.bob_relabeling),
         "u_a": None, "u_b": None, "eta": None,
     }
-    pieces = _document_pieces(doc, (report.u_a, report.u_b, report.eta))
+    factors = report.purifier_factors
+    if factors is None:
+        arrays = [report.u_a, report.u_b]
+    else:
+        doc["u_b" if report.swapped else "u_a"] = {"w": None, "c_minus_i": None}
+        arrays = [report.u_a, *factors] if report.swapped else [*factors, report.u_b]
+    pieces = _document_pieces(doc, arrays + [report.eta])
     try:
         _write_whole(path, pieces)
     except OSError as exc:
@@ -309,7 +307,7 @@ def _cmd_analyze(args) -> int:
     report = analyze(channel, args.eps)
     _print_analysis(report)
     if args.report:
-        _write_report(args.report, report, channel)
+        _write_report(args.report, report)
     return EXIT_OK
 
 

@@ -105,6 +105,22 @@ def state_file_json(state: PureState, alice=None, bob=None) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def pairs_matrix(pairs) -> np.ndarray:
+    """A complex array from the nested [re, im] lists of a document."""
+    return np.array(pairs, dtype=np.float64).view(np.complex128)[..., 0]
+
+
+def report_purifier(doc: dict) -> np.ndarray:
+    """The dense purifying unitary of an analyze --report document: u_b
+    when the document says swapped, else u_a.  A field written as
+    {"w": W, "c_minus_i": C - I} is I + W (C - I) W†."""
+    field = doc["u_b" if doc["swapped"] else "u_a"]
+    if isinstance(field, list):
+        return pairs_matrix(field)
+    w = pairs_matrix(field["w"])
+    return np.eye(w.shape[0]) + w @ pairs_matrix(field["c_minus_i"]) @ w.conj().T
+
+
 def haar_unitary_square_qr(dim: int, seed) -> np.ndarray:
     """Haar unitary straight from QR of a square complex Gaussian, R's
     diagonal phases absorbed into Q."""

@@ -130,25 +130,27 @@ def test_prepare_matches_grouped_oracle(m, n, d, alice, bob, swapped, factored):
                          ids=["exhaustive", "sample"])
 def test_branch_walk_memory(kwargs):
     # the walk holds the joint state, its pair-grouped copy and one matmul
-    # result; a k-fold operator or one more full copy breaks the bound.
+    # result: 2.07 copies at 6|6 with a 4-qubit payload, 2.50 at 7|8 with a
+    # 1-qubit one.  A k-fold operator or one more full copy breaks the bound.
     # The first teleport on a fresh report canonicalizes the channel, and
     # the second reuses the canonical form that the report keeps.
-    channel = generate_planted(6, 6, 4, seed=76).channel
-    payload = random_pure_state(4, seed=904)
-    joint_bytes = 16 * 2 ** (payload.n_qubits + channel.state.n_qubits)
-    teleport_bell(channel, payload, analyze(channel), **kwargs)
-    report = analyze(channel)
-    peaks = []
-    tracemalloc.start()
-    try:
-        for _ in range(2):
-            tracemalloc.reset_peak()
-            teleport_bell(channel, payload, report, **kwargs)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-    finally:
-        tracemalloc.stop()
-    assert report._kept[0] is channel
-    assert max(peaks) <= 3.5 * joint_bytes
+    for m, n, d, k, copies in [(6, 6, 4, 4, 2.5), (7, 8, 3, 1, 3.0)]:
+        channel = generate_planted(m, n, d, seed=70 + m).channel
+        payload = random_pure_state(k, seed=904)
+        joint_bytes = 16 * 2 ** (payload.n_qubits + channel.state.n_qubits)
+        teleport_bell(channel, payload, analyze(channel), **kwargs)
+        report = analyze(channel)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                tracemalloc.reset_peak()
+                teleport_bell(channel, payload, report, **kwargs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report._kept[0] is channel
+        assert max(peaks) <= copies * joint_bytes, (m, n)
 
 
 @pytest.mark.parametrize("method", sorted(TELEPORTS))

@@ -6,16 +6,14 @@ import stat
 import subprocess
 import sys
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracle import state_file_json
+from oracle import pairs_matrix, report_purifier, state_file_json
 from telecap import capacity, cli
-from telecap.capacity import _LowRank, analyze
+from telecap.capacity import analyze
 from telecap.cli import (
-    _REPORT_BYTES_PER_ENTRY,
     EXIT_CAPACITY,
     EXIT_FIDELITY,
     EXIT_INFEASIBLE,
@@ -109,7 +107,7 @@ class TestAnalyzeCommand:
     def test_report_has_json_dumps_bytes(self, run, tmp_path, m, n, d, factored, swapped):
         ch = generate_planted(m, n, d, seed=5).channel
         rep = analyze(ch)
-        assert (isinstance(rep._purifier, _LowRank), rep.swapped) == (factored, swapped)
+        assert (rep.purifier_factors is not None, rep.swapped) == (factored, swapped)
         path, report = tmp_path / "c.json", tmp_path / "r.json"
         save_state_file(str(path), ch.state, ch.alice, ch.bob)
         assert run("analyze", path, "--report", report)[0] == EXIT_OK
@@ -127,19 +125,6 @@ class TestAnalyzeCommand:
         assert err == f"error: cannot write {report}: {os.strerror(errno.ENOENT)}\n"
         assert not report.parent.exists()
 
-    def test_report_refused_above_budget(self, run, tmp_path, monkeypatch):
-        path, report = tmp_path / "c.json", tmp_path / "report.json"
-        assert run("generate", 6, 1, 1, "--seed", 3, "-o", path)[0] == EXIT_OK
-        # 4**6 + 4**1 entries at _REPORT_BYTES_PER_ENTRY: about 0.9 MiB
-        monkeypatch.setattr(capacity, "DENSE_BUDGET_BYTES", 1 << 19)
-        code, out, err = run("analyze", path, "--report", report)
-        assert code == EXIT_INFEASIBLE and "capacity=1" in out
-        assert err == "error: the --report document needs 984,000 bytes, above the 524,288-byte budget\n"
-        assert not report.exists()
-        monkeypatch.setattr(capacity, "DENSE_BUDGET_BYTES", 3 << 20)
-        assert run("analyze", path, "--report", report)[0] == EXIT_OK
-        assert len(json.loads(report.read_text())["u_a"]) == 64
-
     def test_report_out_of_memory_leaves_no_file(self, run, bell_file, tmp_path, monkeypatch):
         report = tmp_path / "report.json"
 
@@ -153,17 +138,36 @@ class TestAnalyzeCommand:
         assert err == "error: out of memory\n"
         assert not report.exists()
 
-    def test_report_estimate_bounds_its_peak(self, tmp_path):
-        channel = generate_planted(6, 1, 1, seed=3).channel
-        rep = analyze(channel)
-        entries = 4 ** 6 + 4 ** 1
-        tracemalloc.start()
-        try:
-            _write_report(str(tmp_path / "report.json"), rep, channel)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert entries * _REPORT_BYTES_PER_ENTRY / 2 < peak <= entries * _REPORT_BYTES_PER_ENTRY
+    @pytest.mark.parametrize("m,n", [(6, 1), (1, 6), (9, 2)])
+    def test_report_factors_rebuild_the_purifier(self, run, tmp_path, m, n):
+        ch = generate_planted(m, n, 1, seed=5).channel
+        path, report = tmp_path / "c.json", tmp_path / "r.json"
+        save_state_file(str(path), ch.state, ch.alice, ch.bob)
+        assert run("analyze", path, "--report", report)[0] == EXIT_OK
+        doc = json.loads(report.read_text())
+        rep = analyze(ch)
+        purifying = "u_b" if rep.swapped else "u_a"
+        assert rep.purifier_factors is not None and set(doc[purifying]) == {"w", "c_minus_i"}
+        assert np.max(np.abs(report_purifier(doc) - getattr(rep, purifying))) <= 1e-15
+
+    @pytest.mark.parametrize("m,n", [(15, 1), (1, 15), (14, 1), (1, 14), (13, 2), (9, 7),
+                                     (7, 9), (8, 8)])
+    def test_report_up_to_the_cap(self, tmp_path, m, n):
+        # the purifier is written as the report keeps it, so no split up to
+        # the 16-qubit cap writes a dense matrix of more than 2**8 rows
+        rep = analyze(generate_planted(m, n, min(m, n), seed=3).channel)
+        _write_report(str(tmp_path / "r.json"), rep)
+        doc = json.loads((tmp_path / "r.json").read_text())
+        purifying, structural = ("u_b", "u_a") if rep.swapped else ("u_a", "u_b")
+        assert np.array_equal(pairs_matrix(doc[structural]), getattr(rep, structural))
+        factors = rep.purifier_factors
+        assert (factors is None) == (m == n == 8)
+        if factors is None:
+            assert np.array_equal(pairs_matrix(doc[purifying]), getattr(rep, purifying))
+        else:
+            w, dc = pairs_matrix(doc[purifying]["w"]), pairs_matrix(doc[purifying]["c_minus_i"])
+            assert w.shape[0] == 1 << max(m, n)
+            assert np.array_equal(w, factors[0]) and np.array_equal(dc, factors[1])
 
 
 class TestVerifyCommand:
@@ -177,14 +181,19 @@ class TestVerifyCommand:
         assert code == EXIT_INFEASIBLE and "not divisible" in err
 
     def test_violation_names_the_first_offending_cluster(self, run, tmp_path):
-        # clusters 0.3 x2, 0.25, 0.15: at d=2 the first one already fails,
-        # although the later singletons have the lower 2-adic valuation
-        schmidt = np.sqrt([0.3, 0.3, 0.25, 0.15])
-        path = tmp_path / "skew.json"
-        save_state_file(str(path), PureState(np.diag(schmidt).ravel()), (0, 1), (2, 3))
-        code, _, err = run("verify", path, 2)
-        assert code == EXIT_INFEASIBLE
-        assert err == "error: multiplicity 2 at value 0.300000000 is not divisible by 2**2\n"
+        # at d=2, clusters 0.3 x2, 0.25, 0.15: the first one already fails,
+        # although the later singletons have the lower 2-adic valuation;
+        # clusters 0.15 x4, 0.12 x2, 0.08 x2: the first one, a 4, passes
+        for weights, named in [([0.3, 0.3, 0.25, 0.15], "multiplicity 2 at value 0.300000000"),
+                               ([0.15] * 4 + [0.12] * 2 + [0.08] * 2,
+                                "multiplicity 2 at value 0.120000000")]:
+            k = len(weights).bit_length() - 1
+            path = tmp_path / "skew.json"
+            amplitudes = np.diag(np.sqrt(weights)).ravel()
+            save_state_file(str(path), PureState(amplitudes), range(k), range(k, 2 * k))
+            code, _, err = run("verify", path, 2)
+            assert code == EXIT_INFEASIBLE
+            assert err == f"error: {named} is not divisible by 2**2\n"
 
     def test_out_of_range_claim(self, run, planted_file):
         code, _, err = run("verify", planted_file, 3)

@@ -12,7 +12,7 @@ from oracle import (
     spectral_capacity,
 )
 from telecap import corpus
-from telecap.capacity import entanglement_entropy
+from telecap.capacity import analyze, entanglement_entropy
 from telecap.corpus import (
     generate_planted,
     ghz_canonical_form,
@@ -114,6 +114,13 @@ class TestBellStacks:
     def test_capacity_equals_pair_count(self):
         for n in (1, 2, 3):
             assert spectral_capacity(n_bell_channel(n)) == n
+
+    def test_pair_count_range_ends_at_the_cap(self):
+        ch = n_bell_channel(8)
+        assert ch.state.n_qubits == 16 and analyze(ch).capacity == 8
+        for n in (0, 9):
+            with pytest.raises(ValueError, match=r"need 1\.\.8 pairs"):
+                n_bell_channel(n)
 
 
 class TestGhz:

@@ -56,6 +56,18 @@ def test_replaced_report_carries_no_factors():
     assert not rep._purifier.w.flags.writeable and not rep._purifier.dc.flags.writeable
 
 
+def test_purifier_factors_are_the_kept_factors():
+    dense = analyze(_planted(3, 3, 1))
+    assert isinstance(dense._purifier, np.ndarray) and dense.purifier_factors is None
+    rep = analyze(_planted(6, 1, 1))
+    w, dc = rep.purifier_factors
+    assert w is rep._purifier.w and dc is rep._purifier.dc
+    assert not w.flags.writeable and not dc.flags.writeable
+    with pytest.raises(AttributeError):
+        rep.purifier_factors = None
+    assert np.max(np.abs(rep.u_a - (np.eye(64) + w @ dc @ w.conj().T))) <= 1e-15
+
+
 def _recording(log):
     """An ndarray type that logs the operand shapes of every numpy
     operation it takes part in, and passes the mark on to its results."""

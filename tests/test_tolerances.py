@@ -230,6 +230,23 @@ def test_tiny_schmidt_weight(m, n, side, tiny):
     assert np.max(np.abs(reached - cols)) <= (1e-10 if present else 2 * np.sqrt(tiny))
 
 
+@pytest.mark.parametrize("t", [0.8e-12, 1.5e-12])
+def test_residual_label_in_column_weight(t):
+    """A 2|2 channel of capacity 1 whose residual value mu = 2t spreads
+    over two columns of weight t each.  Only when t, not mu, is above
+    ABSENT_WEIGHT is it a residual label, and then the sender unitary keeps
+    its columns and carries them onto the canonical state."""
+    channel = scrambled_channel(2, 2, [0.5 - t, 0.5 - t, t, t], seed=3)
+    rep = analyze(channel)
+    assert rep.capacity == 1
+    present = t > 1e-12
+    canonical = canonical_state(channel, rep)
+    assert np.count_nonzero(canonical.amplitudes) == (4 if present else 2)
+    cols = bipartition_matrix(ChannelState(canonical, channel.alice, channel.bob))
+    reached = rep.u_a @ bipartition_matrix(channel) @ rep.u_b.T
+    assert np.max(np.abs(reached - cols)) <= (1e-10 if present else 2 * np.sqrt(t))
+
+
 # ------------------------------------------------- ABSENT_WEIGHT, residual mixing
 
 @pytest.mark.parametrize("side", [INSIDE, OUTSIDE])
