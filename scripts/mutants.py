@@ -60,8 +60,8 @@ MUTANTS = [
     Mutant("capacity.py", "if np.max(off) > ABSENT_WEIGHT:", "if np.max(off) > 1e-3:"),
     Mutant("capacity.py", "np.clip(mu, 0.0, None) * 2.0 ** -d > ABSENT_WEIGHT)",
            "np.clip(mu, 0.0, None) * 2.0 ** -d > 1e-8)"),
-    Mutant("capacity.py", "keep = np.flatnonzero(weights > ABSENT_WEIGHT)",
-           "keep = np.flatnonzero(weights > 1e-8)"),
+    Mutant("capacity.py", "(weights > ABSENT_WEIGHT) & (rows >= 0)",
+           "(weights > 1e-8) & (rows >= 0)"),
     Mutant("capacity.py", "_FACTOR_TOL = linalg.UNITARY_TOL / 10", "_FACTOR_TOL = 1e-4"),
     Mutant("capacity.py", "p = p[p > ABSENT_WEIGHT]", "p = p[p > 1e-6]"),
     Mutant("linalg.py", "_HERMITIAN_TOL = 1e-9 ", "_HERMITIAN_TOL = 1e-3 "),
@@ -134,10 +134,10 @@ MUTANTS = [
            "np.clip(mu, 0.0, None) * 2.0 ** -d > 1e-11)"),
     Mutant("capacity.py", "np.clip(mu, 0.0, None) * 2.0 ** -d > ABSENT_WEIGHT)",
            "np.clip(mu, 0.0, None) * 2.0 ** -d > 1e-13)"),
-    Mutant("capacity.py", "keep = np.flatnonzero(weights > ABSENT_WEIGHT)",
-           "keep = np.flatnonzero(weights > 1e-11)"),
-    Mutant("capacity.py", "keep = np.flatnonzero(weights > ABSENT_WEIGHT)",
-           "keep = np.flatnonzero(weights > 1e-13)"),
+    Mutant("capacity.py", "(weights > ABSENT_WEIGHT) & (rows >= 0)",
+           "(weights > 1e-11) & (rows >= 0)"),
+    Mutant("capacity.py", "(weights > ABSENT_WEIGHT) & (rows >= 0)",
+           "(weights > 1e-13) & (rows >= 0)"),
     Mutant("teleport.py", "indices = np.flatnonzero(probabilities > ABSENT_WEIGHT)",
            "indices = np.flatnonzero(probabilities > 1e-11)"),
     Mutant("teleport.py", "indices = np.flatnonzero(probabilities > ABSENT_WEIGHT)",
@@ -154,6 +154,9 @@ MUTANTS = [
     # 1e-12 / 2**d and 1e-12 is labelled but its columns are dropped.
     Mutant("capacity.py", "np.clip(mu, 0.0, None) * 2.0 ** -d > ABSENT_WEIGHT)",
            "np.clip(mu, 0.0, None) > ABSENT_WEIGHT)"),
+    # A column whose own weight is above ABSENT_WEIGHT but whose label's
+    # mean weight is not has no target, so the sender unitary drops it.
+    Mutant("capacity.py", "(weights > ABSENT_WEIGHT) & (rows >= 0)", "weights > ABSENT_WEIGHT"),
     # ------------------------------------------------------------------
     # The certificate's capacity range, and the entropy-word count the
     # sampled path places a child's own word by.

@@ -380,8 +380,8 @@ def _targets(eta_hat: np.ndarray, u_b: np.ndarray, m: int, n: int, d: int, bell_
     bits next to the purifying label j: Bell bits high when the sender
     keeps her Bell halves on her leading qubits (bell_high), low otherwise;
     sign(i) is - when d minus the popcount of i is odd.  j is a label only
-    when its columns' weight mu_j / 2**d is above ABSENT_WEIGHT, the cutoff
-    _sender_unitary keeps them by.
+    when its columns' mean weight mu_j / 2**d is above ABSENT_WEIGHT, the
+    unit _sender_unitary keeps each column by.
 
     When no off-diagonal entry of eta_hat exceeds ABSENT_WEIGHT, as after
     analyze's u_b (the eigenbasis of the receiver's density), mu is
@@ -509,15 +509,15 @@ def _sender_unitary(channel: ChannelState, u_b: np.ndarray, rows: np.ndarray,
     """
     source = bipartition_matrix(channel) @ u_b.T
     weights = np.einsum("ak,ak->k", source.conj(), source).real
-    keep = np.flatnonzero(weights > ABSENT_WEIGHT)
+    # a column is kept when it weighs more than ABSENT_WEIGHT and its label
+    # does on average; one that passes only the first has no target
+    keep = np.flatnonzero((weights > ABSENT_WEIGHT) & (rows >= 0))
     s, rows, values = source[:, keep], rows[keep], values[keep]
     if 2 * keep.size >= s.shape[0]:
         u_a = _permuted_frame(_completed_frame(s), rows, values)
         if not linalg.is_unitary(u_a):
             raise ArithmeticError("synthesized sender unitary failed the unitarity check")
         return u_a
-    if np.any(rows < 0):  # a zero target column; small entries fail the frame below
-        raise ArithmeticError("relative-vector frame is rank deficient")
     t = np.zeros_like(s)
     t[rows, np.arange(keep.size)] = values
     w, _ = np.linalg.qr(np.concatenate([s, t], axis=1))

@@ -150,11 +150,11 @@ class TestAnalyzeCommand:
         assert rep.purifier_factors is not None and set(doc[purifying]) == {"w", "c_minus_i"}
         assert np.max(np.abs(report_purifier(doc) - getattr(rep, purifying))) <= 1e-15
 
-    @pytest.mark.parametrize("m,n", [(15, 1), (1, 15), (14, 1), (1, 14), (13, 2), (9, 7),
-                                     (7, 9), (8, 8)])
+    @pytest.mark.parametrize("m,n", [(15, 1), (1, 15), (13, 2), (8, 8)])
     def test_report_up_to_the_cap(self, tmp_path, m, n):
         # the purifier is written as the report keeps it, so no split up to
-        # the 16-qubit cap writes a dense matrix of more than 2**8 rows
+        # the 16-qubit cap writes a dense matrix of more than 2**8 rows;
+        # CI's cap step writes 14|1 and 1|14 in a separate process
         rep = analyze(generate_planted(m, n, min(m, n), seed=3).channel)
         _write_report(str(tmp_path / "r.json"), rep)
         doc = json.loads((tmp_path / "r.json").read_text())

@@ -230,21 +230,34 @@ def test_tiny_schmidt_weight(m, n, side, tiny):
     assert np.max(np.abs(reached - cols)) <= (1e-10 if present else 2 * np.sqrt(tiny))
 
 
-@pytest.mark.parametrize("t", [0.8e-12, 1.5e-12])
-def test_residual_label_in_column_weight(t):
-    """A 2|2 channel of capacity 1 whose residual value mu = 2t spreads
-    over two columns of weight t each.  Only when t, not mu, is above
-    ABSENT_WEIGHT is it a residual label, and then the sender unitary keeps
-    its columns and carries them onto the canonical state."""
-    channel = scrambled_channel(2, 2, [0.5 - t, 0.5 - t, t, t], seed=3)
+@pytest.mark.parametrize("m,n", [(2, 2), (4, 2), (2, 4)])
+@pytest.mark.parametrize("tail", [(0.8e-12, 0.8e-12), (1.5e-12, 1.5e-12), (1.5e-12, 0.3e-12),
+                                  (1.9e-12, 0.5e-12), (2.4e-12, 0.0)],
+                         ids=["equal-inside", "equal-outside", "unequal-inside", "unequal-outside",
+                              "zero-column"])
+def test_residual_label_in_column_weight(m, n, tail):
+    """A channel of capacity 1 whose residual value mu = sum(tail) spreads
+    over two clustered columns of the weights in tail.  Only when their
+    mean mu / 2, not mu, is above ABSENT_WEIGHT is it a residual label.
+    The sender unitary keeps a column only when it and its label both
+    weigh more than ABSENT_WEIGHT, so each kept column has a target and a
+    norm above _GS_ACCEPT; on the low-rank splits W has two columns per
+    kept one.  Equal weights land on the canonical state; otherwise a
+    column is off it by at most its own or its label's norm."""
+    mean = sum(tail) / 2
+    channel = scrambled_channel(m, n, [0.5 - mean, 0.5 - mean, *tail], seed=3)
     rep = analyze(channel)
     assert rep.capacity == 1
-    present = t > 1e-12
+    labelled = mean > 1e-12
+    kept = 2 + (sum(w > 1e-12 for w in tail) if labelled else 0)
+    factors = rep.purifier_factors
+    assert factors is None if m == n else factors[0].shape[1] == 2 * kept
     canonical = canonical_state(channel, rep)
-    assert np.count_nonzero(canonical.amplitudes) == (4 if present else 2)
+    assert np.count_nonzero(canonical.amplitudes) == (4 if labelled else 2)
     cols = bipartition_matrix(ChannelState(canonical, channel.alice, channel.bob))
     reached = rep.u_a @ bipartition_matrix(channel) @ rep.u_b.T
-    assert np.max(np.abs(reached - cols)) <= (1e-10 if present else 2 * np.sqrt(t))
+    exact = labelled and tail[0] == tail[1]
+    assert np.max(np.abs(reached - cols)) <= (1e-10 if exact else 2 * np.sqrt(max(tail)))
 
 
 # ------------------------------------------------- ABSENT_WEIGHT, residual mixing
