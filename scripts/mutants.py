@@ -176,6 +176,12 @@ MUTANTS = [
     Mutant("corpus.py", "if not 1 <= n <= MAX_QUBITS // 2:", "if not 1 <= n < MAX_QUBITS // 2:",
            ("tests/test_corpus.py::TestBellStacks",)),
     # ------------------------------------------------------------------
+    # The receiver's correction after Bell outcome 3 is -sigma_x: the
+    # reference rounds take it from the oracle's table, not the package's.
+    Mutant("teleport.py", "np.array([[0, -1], [-1, 0]], dtype=complex),  # 3: -sigma_x",
+           "np.array([[0, 1], [1, 0]], dtype=complex),  # 3: -sigma_x",
+           ("tests/test_teleport.py",)),
+    # ------------------------------------------------------------------
     # --report writes the purifier as the report keeps it: as its factors,
     # on the purifying side.
     Mutant("capacity.py", "return (p.w, p.dc) if isinstance(p, _LowRank) else None",

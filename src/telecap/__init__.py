@@ -10,7 +10,6 @@ from .capacity import (
     AnalysisReport,
     analyze,
     canonical_state,
-    entanglement_entropy,
     max_capacity,
     reduced_density,
     synthesize_u_a,
@@ -39,7 +38,6 @@ from .teleport import (
     BranchOutcome,
     CapacityShortfall,
     TeleportResult,
-    correction_operator,
     teleport_bell,
     teleport_circuit,
 )
@@ -59,8 +57,6 @@ __all__ = [
     "basis_state",
     "bell_state",
     "canonical_state",
-    "correction_operator",
-    "entanglement_entropy",
     "fidelity",
     "generate_planted",
     "ghz_channel",

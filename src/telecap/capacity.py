@@ -59,7 +59,6 @@ __all__ = [
     "AnalysisReport",
     "bipartition_matrix",
     "reduced_density",
-    "entanglement_entropy",
     "max_capacity",
     "synthesize_u_b",
     "verify_condition",
@@ -271,16 +270,6 @@ def reduced_density(channel: ChannelState, side: str = "bob") -> np.ndarray:
     if side == "alice":
         return m @ m.conj().T
     raise ValueError("side must be 'alice' or 'bob'")
-
-
-def entanglement_entropy(channel: ChannelState) -> float:
-    """Von Neumann entropy of either party's reduced state, in bits.
-
-    Computed from the singular values of the bipartition matrix, which are
-    the shared spectrum of both reduced densities.
-    """
-    s = np.linalg.svd(bipartition_matrix(channel), compute_uv=False)
-    return _spectrum_entropy(s * s)
 
 
 def _spectrum_entropy(p: np.ndarray) -> float:

@@ -84,11 +84,11 @@ def _scramble_rows(mat: np.ndarray, seed) -> np.ndarray:
     return v @ r
 
 
-def n_bell_channel(n: int, k: int = 1) -> ChannelState:
+def n_bell_channel(n: int) -> ChannelState:
     """n Bell pairs; pair i joins sender qubit i to receiver qubit n + i."""
     if not 1 <= n <= MAX_QUBITS // 2:
         raise ValueError(f"need 1..{MAX_QUBITS // 2} pairs")
-    state = tensor([bell_state(k)] * n)
+    state = tensor([bell_state(1)] * n)
     order = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
     state = permute_qubits(state, order)
     return ChannelState(state, tuple(range(n)), tuple(range(n, 2 * n)))

@@ -67,7 +67,6 @@ __all__ = [
     "CapacityShortfall",
     "BranchOutcome",
     "TeleportResult",
-    "correction_operator",
     "circuit_unitary",
     "bell_round",
     "circuit_round",
@@ -88,17 +87,6 @@ _CORRECTIONS = (
 )
 for _c in _CORRECTIONS:
     _c.setflags(write=False)
-
-
-def correction_operator(i: int) -> np.ndarray:
-    """Receiver correction for Bell outcome i in 1..4.
-
-    Each operator squares to a sign, so it undoes itself up to global
-    phase; the receiver applies it as-is.
-    """
-    if i not in (1, 2, 3, 4):
-        raise ValueError("correction index must be 1..4")
-    return _CORRECTIONS[i - 1].copy()
 
 
 def circuit_unitary() -> np.ndarray:

@@ -19,7 +19,6 @@ from telecap.capacity import (
     bipartition_matrix,
     canonical_state,
     certify,
-    entanglement_entropy,
     max_capacity,
     reduced_density,
     synthesize_u_a,
@@ -57,6 +56,10 @@ class TestReducedDensity:
         wb = np.sort(wb)[::-1][:4]
         assert np.max(np.abs(wa - wb)) < 1e-12
 
+    def test_unknown_side_rejected(self):
+        with pytest.raises(ValueError, match="side must be 'alice' or 'bob'"):
+            reduced_density(random_channel(1, 1, seed=1), "carol")
+
     def test_bipartition_matrix_respects_list_order(self):
         ch = ChannelState(ghz_state(3), (2, 0), (1,))
         m = bipartition_matrix(ch)
@@ -76,32 +79,36 @@ class TestReducedDensity:
 
 class TestEntropy:
     def test_hand_values(self):
-        assert abs(entanglement_entropy(n_bell_channel(1))) == pytest.approx(1.0)
-        assert abs(entanglement_entropy(n_bell_channel(2)) - 2.0) < 1e-12
-        assert abs(entanglement_entropy(ghz_channel(5, 2)) - 1.0) < 1e-12
+        assert analyze(n_bell_channel(1)).entropy_bits == pytest.approx(1.0)
+        assert abs(analyze(n_bell_channel(2)).entropy_bits - 2.0) < 1e-12
+        assert abs(analyze(ghz_channel(5, 2)).entropy_bits - 1.0) < 1e-12
         product = ChannelState(tensor([random_pure_state(1, 3), random_pure_state(1, 4)]),
                                (0,), (1,))
-        assert entanglement_entropy(product) < 1e-12
+        assert analyze(product).entropy_bits < 1e-12
 
     def test_product_state_entropy_is_positive_zero(self):
         ch = ChannelState(basis_state((0, 0)), (0,), (1,))
         rep = analyze(ch)
         assert rep.entropy_bits == 0.0 and math.copysign(1.0, rep.entropy_bits) == 1.0
-        assert math.copysign(1.0, entanglement_entropy(ch)) == 1.0
 
     def test_w_state_split(self):
         v = np.zeros(8, dtype=complex)
         v[[1, 2, 4]] = 1.0 / np.sqrt(3.0)
         ch = ChannelState(PureState(v), (0,), (1, 2))
         want = entropy_bits_direct([2.0 / 3.0, 1.0 / 3.0])
-        assert abs(entanglement_entropy(ch) - want) < 1e-12
+        assert abs(analyze(ch).entropy_bits - want) < 1e-12
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 3))
     def test_symmetric_under_swap(self, seed, m, n):
+        # analyze decomposes the smaller party only; both parties' own
+        # densities must give its entropy
         ch = random_channel(m, n, seed)
-        assert entanglement_entropy(ch) == pytest.approx(
-            entanglement_entropy(ch.swapped()), abs=1e-10)
+        rho = np.outer(ch.state.amplitudes, ch.state.amplitudes.conj())
+        got = analyze(ch).entropy_bits
+        for traced in (ch.alice, ch.bob):
+            own = partial_trace_loops(rho, m + n, traced)
+            assert got == pytest.approx(entropy_bits_direct(np.linalg.eigvalsh(own)), abs=1e-10)
 
 
 class TestMaxCapacity:
@@ -121,6 +128,16 @@ class TestMaxCapacity:
 
 
 class TestSynthesis:
+    def test_u_b_rejects_an_inadmissible_d(self):
+        # planted 2|2 at capacity 1: multiplicities 2, 2, so d = 2 fails
+        ch = generate_planted(2, 2, 1, seed=3).channel
+        w, v = linalg.hermitian_eig(reduced_density(ch, "bob"))
+        clusters = linalg.cluster_spectrum(w, 1e-9)
+        assert synthesize_u_b(ch, clusters, v, 1)[0].shape == (4, 4)
+        for d in (-1, 2):
+            with pytest.raises(ValueError, match="d is not admissible for this spectrum"):
+                synthesize_u_b(ch, clusters, v, d)
+
     def test_u_b_factors_bell_stack(self):
         for n in (1, 2):
             ch = n_bell_channel(n)
@@ -251,7 +268,7 @@ class TestCertify:
 class TestAnalyze:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_single_bell_any_flavour(self, k):
-        ch = n_bell_channel(1, k)
+        ch = ChannelState(bell_state(k), (0,), (1,))
         rep = analyze(ch)
         assert rep.capacity == 1
         assert rep.entropy_bits == pytest.approx(1.0)

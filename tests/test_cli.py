@@ -494,6 +494,20 @@ class TestStateFiles:
         path = write_doc(tmp_path, "bad.json", doc)
         assert run("analyze", path)[0] == EXIT_MALFORMED
 
+    @pytest.mark.parametrize("command", [("analyze",), ("verify", 1)])
+    def test_payload_file_is_not_a_channel(self, run, tmp_path, command):
+        path = tmp_path / "payload.json"
+        save_state_file(str(path), random_pure_state(2, 5))
+        code, out, err = run(command[0], path, *command[1:])
+        assert code == EXIT_MALFORMED and out == ""
+        assert err == f"error: {path} lacks the alice/bob split\n"
+
+    def test_document_must_be_an_object(self, run, tmp_path):
+        path = write_doc(tmp_path, "list.json", [bell_doc()])
+        code, out, err = run("analyze", path)
+        assert code == EXIT_MALFORMED and out == ""
+        assert err == "error: state file must hold a JSON object\n"
+
     def test_invalid_json(self, run, tmp_path):
         path = tmp_path / "trunc.json"
         path.write_text('{"format": "telecap-state"')

@@ -6,13 +6,14 @@ import pytest
 
 from oracle import (
     controlled_not,
+    entropy_bits_direct,
     ghz_cnot_chain_dense,
     haar_unitary_square_qr,
     partial_trace_loops,
     spectral_capacity,
 )
 from telecap import corpus
-from telecap.capacity import analyze, entanglement_entropy
+from telecap.capacity import analyze
 from telecap.corpus import (
     generate_planted,
     ghz_canonical_form,
@@ -159,8 +160,12 @@ class TestPlanted:
     def test_scrambling_is_local(self):
         p = generate_planted(3, 2, 1, seed=9)
         ref = ChannelState(p.reference, p.channel.alice, p.channel.bob)
-        assert entanglement_entropy(p.channel) == pytest.approx(
-            entanglement_entropy(ref), abs=1e-10)
+        entropy = analyze(p.channel).entropy_bits
+        rho = np.outer(p.reference.amplitudes, p.reference.amplitudes.conj())
+        for traced in (ref.alice, ref.bob):
+            own = partial_trace_loops(rho, p.reference.n_qubits, traced)
+            assert entropy_bits_direct(np.linalg.eigvalsh(own)) == pytest.approx(
+                entropy, abs=1e-10)
         assert spectral_capacity(p.channel) == spectral_capacity(ref) == 1
 
     def test_reference_layout(self):

@@ -44,13 +44,13 @@ def test_grid_reaches_factors_in_both_orientations():
     factored = {}
     for m, n, d in PLANTED_GRID:
         rep = analyze(_planted(m, n, d))
-        factored.setdefault(isinstance(rep._purifier, _LowRank), set()).add(rep.swapped)
+        factored.setdefault(rep.purifier_factors is not None, set()).add(rep.swapped)
     assert factored == {True: {False, True}, False: {False, True}}
 
 
 def test_replaced_report_carries_no_factors():
     rep = analyze(_planted(6, 1, 1))
-    assert isinstance(rep._purifier, _LowRank)
+    assert rep.purifier_factors is not None
     for own in (dataclasses.replace(rep), dataclasses.replace(rep, u_a=rep.u_a.copy())):
         assert own._purifier is None
     assert not rep._purifier.w.flags.writeable and not rep._purifier.dc.flags.writeable
@@ -144,7 +144,7 @@ def test_dense_purifier_assembled_once_on_read(monkeypatch, tmp_path, m, n):
     fresh = ChannelState(channel.state, channel.alice, channel.bob)
     assert teleport_bell(fresh, payload, rep).min_fidelity >= 1 - 1e-9
     assert rep._kept[0] is fresh
-    assert len(calls) == 1 and isinstance(rep._purifier, _LowRank)
+    assert len(calls) == 1 and rep.purifier_factors is not None
 
 
 @pytest.mark.parametrize("m,n", [(14, 1), (1, 14), (13, 2), (2, 13)])
@@ -162,7 +162,7 @@ def test_analyze_and_teleport_at_the_cap(m, n):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rep.capacity == min(m, n) and isinstance(rep._purifier, _LowRank)
+    assert rep.capacity == min(m, n) and rep.purifier_factors is not None
     assert min(fidelities) >= 1 - 1e-9
     assert verdicts == [True, None]
     assert elapsed < 1.0
@@ -208,7 +208,7 @@ def test_report_adopts_frozen_arrays_and_copies_others():
         "swapped-factored"])
 def test_report_of_another_split_rejected(split, other, factored):
     rep = analyze(_planted(*split, 1))
-    assert isinstance(rep._purifier, _LowRank) == factored
+    assert (rep.purifier_factors is not None) == factored
     assert rep.swapped == (split[0] < split[1])
     channel = _planted(*other, 1)
     with pytest.raises(ValueError, match="do not match the channel's parties"):

@@ -16,9 +16,9 @@ from telecap.capacity import (
     synthesize_u_a,
     verify_condition,
 )
-from telecap.corpus import generate_planted, ghz_channel, n_bell_channel
+from telecap.corpus import generate_planted, ghz_channel
 from telecap.linalg import hermitian_eig
-from telecap.states import ChannelState, random_pure_state
+from telecap.states import ChannelState, bell_state, permute_qubits, random_pure_state, tensor
 from telecap.teleport import teleport_bell
 
 PLANTED_SMALL = [(m, n, d) for m in range(1, 8) for n in range(1, 9 - m)
@@ -69,7 +69,12 @@ def test_ghz_matches_gram_schmidt(size, m):
 
 @pytest.mark.parametrize("pairs", [1, 2, 3, 4])
 def test_bell_stack_matches_gram_schmidt(pairs):
-    check_against_oracle(n_bell_channel(pairs, k=1 + pairs % 4))
+    # n_bell_channel's layout, pair i joining qubits i and pairs + i, with
+    # the pairs in mixed Bell flavours instead of singlets
+    stack = tensor([bell_state(1 + (pairs + i) % 4) for i in range(pairs)])
+    order = tuple(range(0, 2 * pairs, 2)) + tuple(range(1, 2 * pairs, 2))
+    check_against_oracle(ChannelState(permute_qubits(stack, order), tuple(range(pairs)),
+                                      tuple(range(pairs, 2 * pairs))))
 
 
 @pytest.mark.parametrize("m,n", [(10, 2), (2, 10)])
@@ -175,7 +180,7 @@ def test_dense_analysis_runs_one_qr(monkeypatch, m, n, d):
     qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
     rep = analyze(channel)
-    assert isinstance(rep._purifier, np.ndarray)  # the dense sender unitary
+    assert rep.purifier_factors is None  # the dense sender unitary
     # the source frame's complete QR; the target frame is a phased permutation
     assert len(calls) == 1
 
@@ -220,7 +225,7 @@ def test_rotated_residual_basis(monkeypatch, m, n, d):
     assert len(eigs) == 1  # the residual's eigensystem, not read off its diagonal
     # the source's complete QR on the dense branch; the span's reduced QR
     # and the two small frames' complete QRs on the factored one
-    assert len(qrs) == own_qrs == (3 if isinstance(rep._purifier, capacity._LowRank) else 1)
+    assert len(qrs) == own_qrs == (3 if rep.purifier_factors is not None else 1)
 
     source = bipartition_matrix(channel) @ u_b.T
     kept = np.einsum("ak,ak->k", source.conj(), source).real > 1e-12

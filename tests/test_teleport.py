@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from oracle import dominant_factor, expansion_identity_defect
 from telecap import capacity, linalg, teleport
 from telecap.capacity import analyze, canonical_state
@@ -25,28 +26,9 @@ from telecap.teleport import (
     bell_round,
     circuit_round,
     circuit_unitary,
-    correction_operator,
     teleport_bell,
     teleport_circuit,
 )
-
-
-class TestCorrections:
-    def test_frozen_matrices(self):
-        assert np.array_equal(correction_operator(1), np.eye(2))
-        assert np.array_equal(correction_operator(2), np.diag([1, -1]))
-        assert np.array_equal(correction_operator(3), [[0, -1], [-1, 0]])
-        assert np.array_equal(correction_operator(4), [[0, 1], [-1, 0]])
-
-    def test_each_squares_to_a_sign(self):
-        for i in (1, 2, 3, 4):
-            u = correction_operator(i)
-            sq = u @ u
-            assert np.allclose(sq, np.eye(2)) or np.allclose(sq, -np.eye(2))
-
-    def test_index_guard(self):
-        with pytest.raises(ValueError):
-            correction_operator(0)
 
 
 class TestCircuitUnitary:
@@ -95,6 +77,13 @@ class TestRounds:
         raw, p, out = bell_round(joint, 0, 1, 2, outcome=0)
         assert p < 1e-12 and out is None
 
+    @pytest.mark.parametrize("round_", [bell_round, circuit_round])
+    def test_outcome_out_of_range_rejected(self, round_):
+        joint = tensor([random_pure_state(1, 3), bell_state(1)])
+        for raw in (-1, 4):
+            with pytest.raises(ValueError, match=r"raw outcome must be 0\.\.3"):
+                round_(joint, 0, 1, 2, outcome=raw)
+
     def test_sampling_needs_rng(self):
         joint = tensor([random_pure_state(1, 3), bell_state(1)])
         with pytest.raises(ValueError, match="rng"):
@@ -112,11 +101,12 @@ class TestRounds:
             assert fidelity(sb, sc) > 1 - 1e-12
 
 
-# (pre-measurement unitary, measured basis, correction per raw outcome)
+# (pre-measurement unitary, measured basis, correction per raw outcome),
+# from the oracle's own tables
 _REFERENCE = {
-    "bell": (None, [bell_state(i) for i in (1, 2, 3, 4)], (1, 2, 3, 4)),
-    "circuit": (circuit_unitary(), [basis_state(((r >> 1) & 1, r & 1)) for r in range(4)],
-                (4, 3, 2, 1)),
+    "bell": (None, [PureState(v) for v in oracle._BELL_VECTORS], (1, 2, 3, 4)),
+    "circuit": (oracle._MEASUREMENT_CIRCUIT,
+                [basis_state(((r >> 1) & 1, r & 1)) for r in range(4)], (4, 3, 2, 1)),
 }
 _ROUNDS = {"bell": bell_round, "circuit": circuit_round}
 
@@ -135,7 +125,7 @@ def reference_round(state, message, alice, bob, method, outcome=None, rng=None):
         outcome = int(rng.choice(4, p=probs / probs.sum()))
     probability, collapsed = project_and_collapse(state, targets, basis, outcome)
     if collapsed is not None:
-        collapsed = apply_unitary(collapsed, correction_operator(fixes[outcome]), [bob])
+        collapsed = apply_unitary(collapsed, oracle._FIXES[fixes[outcome] - 1], [bob])
     return outcome, probability, collapsed
 
 

@@ -15,7 +15,6 @@ from telecap.capacity import (
     analyze,
     bipartition_matrix,
     canonical_state,
-    entanglement_entropy,
     reduced_density,
     synthesize_u_a,
     verify_condition,
@@ -222,7 +221,6 @@ def test_tiny_schmidt_weight(m, n, side, tiny):
     assert rep.capacity == 0
     want = entropy_bits_direct(weights if present else weights[:2])
     assert abs(rep.entropy_bits - want) < 1e-13
-    assert abs(entanglement_entropy(channel) - want) < 1e-13
     canonical = canonical_state(channel, rep)
     assert np.count_nonzero(canonical.amplitudes) == (3 if present else 2)
     cols = bipartition_matrix(ChannelState(canonical, channel.alice, channel.bob))
@@ -306,7 +304,7 @@ def test_factor_tol(monkeypatch, side):
     frame = capacity._completed_frame
     monkeypatch.setattr(capacity, "_completed_frame", lambda cols: scale * frame(cols))
     if side < 1:
-        assert isinstance(analyze(channel)._purifier, capacity._LowRank)
+        assert analyze(channel).purifier_factors is not None
     else:
         with pytest.raises(ArithmeticError, match="unitarity check"):
             analyze(channel)
