@@ -182,6 +182,20 @@ MUTANTS = [
            "np.array([[0, 1], [1, 0]], dtype=complex),  # 3: -sigma_x",
            ("tests/test_teleport.py",)),
     # ------------------------------------------------------------------
+    # A planted reference is the singlets, then the residual; the circuit
+    # flavour reads outcome r as computational basis state r.
+    Mutant("corpus.py", "mat = np.kron(mat, _gapped_residual(ra, rb, d, eps, residual_seq))",
+           "mat = np.kron(_gapped_residual(ra, rb, d, eps, residual_seq), mat)",
+           ("tests/test_corpus.py",)),
+    Mutant("teleport.py", "_read_only(np.eye(4, dtype=complex))",
+           "_read_only(np.eye(4, dtype=complex)[::-1])", ("tests/test_teleport.py",)),
+    # ------------------------------------------------------------------
+    # A failed certificate ends analyze and verify with an error, even
+    # when the spectrum admits the capacity.
+    Mutant("capacity.py", "if not holds:\n        raise ArithmeticError(",
+           "if False:\n        raise ArithmeticError(", ("tests/test_capacity.py::TestAnalyze", REPORT)),
+    Mutant("cli.py", "if not holds:", "if False:", ("tests/test_cli.py::TestVerifyCommand",)),
+    # ------------------------------------------------------------------
     # --report writes the purifier as the report keeps it: as its factors,
     # on the purifying side.
     Mutant("capacity.py", "return (p.w, p.dc) if isinstance(p, _LowRank) else None",

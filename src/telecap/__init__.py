@@ -27,7 +27,6 @@ from .states import (
     ChannelState,
     PureState,
     apply_unitary,
-    basis_state,
     bell_state,
     fidelity,
     ghz_state,
@@ -54,7 +53,6 @@ __all__ = [
     "TeleportResult",
     "analyze",
     "apply_unitary",
-    "basis_state",
     "bell_state",
     "canonical_state",
     "fidelity",

@@ -28,17 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_EPS, UNITARY_TOL, _check_eps, _unitarity_defect
-from .states import (
-    MAX_QUBITS,
-    ChannelState,
-    PureState,
-    basis_state,
-    bell_state,
-    ghz_state,
-    permute_qubits,
-    random_pure_state,
-    tensor,
-)
+from .states import MAX_QUBITS, ChannelState, PureState, bell_state, ghz_state, random_pure_state
 
 __all__ = [
     "haar_unitary",
@@ -84,13 +74,23 @@ def _scramble_rows(mat: np.ndarray, seed) -> np.ndarray:
     return v @ r
 
 
+def _singlets(d: int) -> np.ndarray:
+    """The (2**d x 2**d) amplitude matrix of d singlets, pair i joining
+    sender qubit i to receiver qubit i: the Kronecker power of the
+    singlet's 2 x 2 matrix, each factor taken as one broadcast product
+    (np.kron's own overhead would double n_bell_channel's cost)."""
+    s = bell_state(1).amplitudes.reshape(2, 2)
+    out = np.ones((1, 1), dtype=complex)
+    for _ in range(d):
+        out = (out[:, None, :, None] * s[None, :, None, :]).reshape(2 * len(out), -1)
+    return out
+
+
 def n_bell_channel(n: int) -> ChannelState:
     """n Bell pairs; pair i joins sender qubit i to receiver qubit n + i."""
     if not 1 <= n <= MAX_QUBITS // 2:
         raise ValueError(f"need 1..{MAX_QUBITS // 2} pairs")
-    state = tensor([bell_state(1)] * n)
-    order = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
-    state = permute_qubits(state, order)
+    state = PureState(_singlets(n).reshape(-1))
     return ChannelState(state, tuple(range(n)), tuple(range(n, 2 * n)))
 
 
@@ -171,35 +171,31 @@ def generate_planted(m: int, n: int, d: int, seed: int,
     root = np.random.SeedSequence(seed)
     residual_seq, scramble_a, scramble_b = root.spawn(3)
 
-    factors = [bell_state(1)] * d
     ra, rb = m - d, n - d
+    mat = _singlets(d)
     if ra + rb:
-        factors.append(_gapped_residual(ra, rb, d, eps, residual_seq))
-    reference = tensor(factors)
-    order = tuple(range(0, 2 * d, 2)) + tuple(2 * d + j for j in range(ra)) \
-        + tuple(range(1, 2 * d, 2)) + tuple(2 * d + ra + j for j in range(rb))
-    reference = permute_qubits(reference, order)
+        mat = np.kron(mat, _gapped_residual(ra, rb, d, eps, residual_seq))
+    reference = PureState(mat.reshape(-1))
 
-    mat = _scramble_rows(reference.amplitudes.reshape(1 << m, 1 << n), scramble_a)
+    mat = _scramble_rows(mat, scramble_a)
     mat = _scramble_rows(mat.T, scramble_b).T
     channel = ChannelState(PureState(mat.reshape(-1)), range(m), range(m, m + n))
     return PlantedChannel(channel, d, seed, reference)
 
 
-def _gapped_residual(ra: int, rb: int, d: int, eps: float, seq) -> PureState:
-    """Residual factor whose receiver-side spectrum is eps-simple.
+def _gapped_residual(ra: int, rb: int, d: int, eps: float, seq) -> np.ndarray:
+    """The residual factor's (2**ra x 2**rb) amplitude matrix, with an
+    eps-simple receiver-side spectrum.
 
     When either side is empty the residual is the other side's |0...0>,
     which needs no gap condition: it contributes a single weight-one value.
     """
     if ra == 0 or rb == 0:
-        return basis_state((0,) * (ra + rb))
+        return np.eye(1 << ra, 1 << rb)
     margin = 10.0 * eps * (1 << d)
     for child in seq.spawn(256):
-        candidate = random_pure_state(ra + rb, child)
-        s = np.linalg.svd(
-            candidate.amplitudes.reshape(1 << ra, 1 << rb), compute_uv=False
-        )
+        candidate = random_pure_state(ra + rb, child).amplitudes.reshape(1 << ra, 1 << rb)
+        s = np.linalg.svd(candidate, compute_uv=False)
         p = np.sort(s * s)[::-1]
         if p[-1] <= margin:
             continue

@@ -24,10 +24,8 @@ __all__ = [
     "ChannelState",
     "bell_state",
     "ghz_state",
-    "basis_state",
     "apply_unitary",
     "tensor",
-    "permute_qubits",
     "project_and_collapse",
     "fidelity",
     "random_pure_state",
@@ -170,19 +168,6 @@ def ghz_state(n: int) -> PureState:
     return PureState(v)
 
 
-def basis_state(bits) -> PureState:
-    """Computational basis state for the given big-endian bit tuple."""
-    bits = tuple(int(b) for b in bits)
-    if not bits or any(b not in (0, 1) for b in bits):
-        raise ValueError("bits must be a non-empty 0/1 sequence")
-    v = np.zeros(1 << len(bits), dtype=complex)
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | b
-    v[idx] = 1.0
-    return PureState(v)
-
-
 def apply_unitary(state: PureState, u, targets) -> PureState:
     """Apply a unitary to the listed target qubits.
 
@@ -229,14 +214,6 @@ def _tensor_grouped(head: PureState, tail: np.ndarray, labels, first) -> np.ndar
     _check_unit(np.linalg.norm(head.amplitudes) * norm)
     psi = np.multiply.outer(head.amplitudes, tail)
     return _grouped(psi, first, [*range(k), *(q + k for q in labels)])
-
-
-def permute_qubits(state: PureState, new_from_old) -> PureState:
-    """Reorder qubits: position j of the result holds old qubit new_from_old[j]."""
-    perm = [int(q) for q in new_from_old]
-    if sorted(perm) != list(range(state.n_qubits)):
-        raise ValueError("new_from_old must be a permutation of all qubits")
-    return PureState(_grouped(state.amplitudes, perm))
 
 
 def project_and_collapse(state: PureState, targets, basis, outcome: int):

@@ -57,9 +57,9 @@ from .states import (
     ChannelState,
     PureState,
     _grouped,
+    _read_only,
     _tensor_grouped,
     _ungrouped,
-    basis_state,
     bell_state,
 )
 
@@ -104,13 +104,13 @@ def circuit_unitary() -> np.ndarray:
     return np.kron(np.eye(2, dtype=complex), h) @ cnot
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Protocol:
     """How one flavour reads a pair: apply pre_unitary (if any) to
-    (message, sender half), project onto basis[r] for raw outcome r, and
-    correct the receiver half with operator corrections[r]."""
+    (message, sender half), project onto basis row r for raw outcome r,
+    and correct the receiver half with operator corrections[r]."""
 
-    basis: tuple[PureState, ...]
+    basis: np.ndarray
     pre_unitary: np.ndarray | None
     corrections: tuple[int, ...]
 
@@ -122,7 +122,7 @@ class _Protocol:
         Row r of the covector matrix reads outcome r off the two measured
         qubits: conj(basis[r]) after pre_unitary.
         """
-        covectors = np.array([b.amplitudes for b in self.basis]).conj()
+        covectors = self.basis.conj()
         if self.pre_unitary is not None:
             covectors = covectors @ self.pre_unitary
         fixes = np.array([_CORRECTIONS[c - 1] for c in self.corrections])
@@ -130,9 +130,9 @@ class _Protocol:
 
 
 _PROTOCOLS = {
-    "bell": _Protocol(tuple(bell_state(i) for i in (1, 2, 3, 4)), None, (1, 2, 3, 4)),
-    "circuit": _Protocol(tuple(basis_state(((r >> 1) & 1, r & 1)) for r in range(4)),
-                         circuit_unitary(), (4, 3, 2, 1)),
+    "bell": _Protocol(_read_only(np.array([bell_state(i).amplitudes for i in (1, 2, 3, 4)])),
+                      None, (1, 2, 3, 4)),
+    "circuit": _Protocol(_read_only(np.eye(4, dtype=complex)), circuit_unitary(), (4, 3, 2, 1)),
 }
 
 
@@ -214,7 +214,7 @@ def _round(state: PureState, qubits, method: str, outcome, rng):
     if probability <= ABSENT_WEIGHT:
         return outcome, probability, None
     row = table[outcome] / np.sqrt(probability)
-    psi = np.multiply.outer(_PROTOCOLS[method].basis[outcome].amplitudes, row)
+    psi = np.multiply.outer(_PROTOCOLS[method].basis[outcome], row)
     return outcome, probability, _ungrouped(psi, triple)
 
 

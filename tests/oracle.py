@@ -92,6 +92,24 @@ def ghz_cnot_chain_dense(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return u_a, u_b
 
 
+def basis_state(bits) -> PureState:
+    """Computational basis state for a big-endian 0/1 sequence."""
+    v = np.zeros(1 << len(bits), dtype=complex)
+    v[int("".join(map(str, bits)), 2)] = 1.0
+    return PureState(v)
+
+
+def permute_qubits(state: PureState, new_from_old) -> PureState:
+    """Qubit j of the result holds old qubit new_from_old[j]: each basis
+    index's bits moved one position at a time."""
+    n = state.n_qubits
+    new = np.arange(1 << n)
+    old = np.zeros_like(new)
+    for j, q in enumerate(new_from_old):
+        old |= ((new >> (n - 1 - j)) & 1) << (n - 1 - q)
+    return PureState(state.amplitudes[old])
+
+
 def state_file_json(state: PureState, alice=None, bob=None) -> str:
     """A state file's text as the json module writes the document."""
     doc = {

@@ -52,7 +52,7 @@ from telecap.capacity import (
 from telecap.cli import load_state_file, main, save_state_file
 from telecap.corpus import generate_planted, ghz_channel, n_bell_channel, random_channel
 from telecap.linalg import cluster_spectrum, hermitian_eig
-from telecap.states import ChannelState, apply_unitary, fidelity, ghz_state, random_pure_state
+from telecap.states import ChannelState, ghz_state, random_pure_state
 from telecap.teleport import teleport_bell, teleport_circuit
 
 

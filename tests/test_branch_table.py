@@ -9,10 +9,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracle import grouped_joint_state, sequential_teleport, spawned_uniforms
+from oracle import grouped_joint_state, permute_qubits, sequential_teleport, spawned_uniforms
 from telecap.capacity import analyze
 from telecap.corpus import generate_planted, ghz_channel, n_bell_channel
-from telecap.states import ChannelState, permute_qubits, random_pure_state
+from telecap.states import ChannelState, random_pure_state
 from telecap.teleport import (
     _JOINT_COPIES,
     _RUN_BYTES,

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from oracle import (
     entropy_bits_direct,
+    basis_state,
     partial_trace_loops,
+    permute_qubits,
     receiver_clusters,
     spectral_capacity,
     two_adic_division,
@@ -30,7 +32,6 @@ from telecap.states import (
     ChannelState,
     PureState,
     apply_unitary,
-    basis_state,
     bell_state,
     fidelity,
     ghz_state,
@@ -42,7 +43,6 @@ from telecap.states import (
 def singlet_with_spectator() -> ChannelState:
     """Singlet between qubits 0 and 2, sender also holds |0> on qubit 1."""
     state = tensor([bell_state(1), PureState(np.array([1.0, 0.0]))])
-    from telecap.states import permute_qubits
     state = permute_qubits(state, (0, 2, 1))
     return ChannelState(state, (0, 1), (2,))
 
@@ -285,6 +285,17 @@ class TestAnalyze:
         assert rep.capacity == 0
         assert rep.entropy_bits < 1e-9
         assert rep.pairs == ()
+
+    def test_certificate_failure_raises(self):
+        # at eps = 1e-18 the 4-pair stack's spectrum stays one 16-fold
+        # cluster, but rho - I/16 is off by about 4e-17 in max norm, so the
+        # certificate fails at the capacity the spectrum admits
+        ch = n_bell_channel(4)
+        clusters, holds = certify(ch, 4, 1e-18)
+        assert [c.multiplicity for c in clusters] == [16] and holds is False
+        with pytest.raises(ArithmeticError,
+                           match="^factorization condition failed after synthesis$"):
+            analyze(ch, 1e-18)
 
     def test_w_state_blocked_despite_entanglement(self):
         v = np.zeros(8, dtype=complex)

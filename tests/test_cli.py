@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from oracle import pairs_matrix, report_purifier, state_file_json
+from oracle import basis_state, pairs_matrix, report_purifier, state_file_json
 from telecap import capacity, cli
 from telecap.capacity import analyze
 from telecap.cli import (
@@ -28,7 +28,7 @@ from telecap.cli import (
     save_state_file,
 )
 from telecap.corpus import generate_planted, n_bell_channel
-from telecap.states import PureState, basis_state, random_pure_state
+from telecap.states import PureState, random_pure_state
 from telecap.teleport import teleport_bell
 
 
@@ -80,7 +80,22 @@ def bell_doc():
     }))
 
 
+@pytest.fixture
+def bell4_file(tmp_path):
+    """Four Bell pairs, whose certificate fails at eps = 1e-18: the
+    reduced density is off I/16 by about 4e-17 in max norm."""
+    ch = n_bell_channel(4)
+    path = tmp_path / "bell4.json"
+    save_state_file(str(path), ch.state, ch.alice, ch.bob)
+    return str(path)
+
+
 class TestAnalyzeCommand:
+    def test_certificate_failure_is_one_error_line(self, run, bell4_file):
+        code, out, err = run("analyze", bell4_file, "--eps", "1e-18")
+        assert code == EXIT_INFEASIBLE and out == ""
+        assert err == "error: factorization condition failed after synthesis\n"
+
     def test_bell_pair(self, run, bell_file):
         code, out, _ = run("analyze", bell_file)
         assert code == EXIT_OK
@@ -194,6 +209,12 @@ class TestVerifyCommand:
             code, _, err = run("verify", path, 2)
             assert code == EXIT_INFEASIBLE
             assert err == f"error: {named} is not divisible by 2**2\n"
+
+    def test_certificate_failure(self, run, bell4_file):
+        code, out, err = run("verify", bell4_file, 4, "--eps", "1e-18")
+        assert code == EXIT_INFEASIBLE
+        assert out == "cluster value=0.062500000 multiplicity=16 v2=4\n"
+        assert err == "error: factorization condition fails at capacity 4\n"
 
     def test_out_of_range_claim(self, run, planted_file):
         code, _, err = run("verify", planted_file, 3)

@@ -1,9 +1,11 @@
+import functools
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracle
 from oracle import (
     controlled_not,
     entropy_bits_direct,
@@ -24,7 +26,7 @@ from telecap.corpus import (
     random_channel,
 )
 from telecap.linalg import cluster_spectrum, is_unitary
-from telecap.states import ChannelState, fidelity, random_pure_state
+from telecap.states import ChannelState, PureState, fidelity, random_pure_state
 
 S = 1.0 / np.sqrt(2.0)
 
@@ -112,6 +114,15 @@ class TestBellStacks:
             want = s.get((a0, b0), 0.0) * s.get((a1, b1), 0.0)
             assert v[idx] == pytest.approx(want, abs=1e-15)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_permuted_product_bit_for_bit(self, n):
+        # the outer product of n singlets, qubits moved pair by pair to the
+        # sender's and the receiver's side: same products, same bytes
+        stack = PureState(functools.reduce(np.multiply.outer, [oracle._BELL_VECTORS[0]] * n))
+        order = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
+        want = oracle.permute_qubits(stack, order).amplitudes
+        assert n_bell_channel(n).state.amplitudes.tobytes() == want.tobytes()
+
     def test_capacity_equals_pair_count(self):
         for n in (1, 2, 3):
             assert spectral_capacity(n_bell_channel(n)) == n
@@ -173,6 +184,18 @@ class TestPlanted:
         p = generate_planted(2, 2, 2, seed=10)
         want = n_bell_channel(2).state
         assert fidelity(p.reference, want) > 1 - 1e-12
+
+    @pytest.mark.parametrize("m,n,d", [(3, 2, 1), (2, 3, 2), (4, 4, 2), (1, 3, 1)])
+    def test_reference_pairs_are_singlets(self, m, n, d):
+        # pair i is a singlet on (sender qubit i, receiver qubit m + i), so
+        # the residual takes the sender's and the receiver's last qubits
+        ref = generate_planted(m, n, d, seed=10).reference
+        rho = np.outer(ref.amplitudes, ref.amplitudes.conj())
+        singlet = np.outer(oracle._BELL_VECTORS[0], oracle._BELL_VECTORS[0].conj())
+        for i in range(d):
+            traced = [q for q in range(m + n) if q not in (i, m + i)]
+            pair = partial_trace_loops(rho, m + n, traced)
+            assert np.max(np.abs(pair - singlet)) < 1e-12
 
     def test_capacity_grid(self):
         for seed, (m, n, d) in enumerate(

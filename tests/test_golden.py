@@ -5,9 +5,6 @@ must reproduce its exit code, stdout, stderr and written file exactly.
 """
 
 import json
-import os
-
-import pytest
 
 from golden.capture import GOLDEN, run
 

@@ -110,6 +110,31 @@ class TestGuards:
         assert linalg.is_unitary(np.eye(4))
         assert not linalg.is_unitary(np.eye(4) * 1.0001)
 
+    def test_matrix_must_be_two_dimensional(self):
+        with pytest.raises(ValueError, match=r"^u must be 2-dimensional, got shape \(4,\)$"):
+            linalg.is_unitary(np.ones(4))
+        with pytest.raises(ValueError, match=r"^h must be 2-dimensional, got shape \(4,\)$"):
+            linalg.hermitian_eig(np.ones(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_matrix_must_be_finite(self, bad):
+        m = np.eye(2)
+        m[0, 1] = bad
+        with pytest.raises(ValueError, match="^u contains non-finite entries$"):
+            linalg.is_unitary(m)
+        with pytest.raises(ValueError, match="^h contains non-finite entries$"):
+            linalg.hermitian_eig(m)
+
+    def test_matrix_must_be_square(self):
+        with pytest.raises(ValueError, match="^u must be square$"):
+            linalg.is_unitary(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="^h must be square$"):
+            linalg.hermitian_eig(np.ones((2, 3)))
+
+    def test_empty_spectrum(self):
+        with pytest.raises(ValueError, match="^empty spectrum$"):
+            linalg.cluster_spectrum([])
+
     def test_unitarity_defect(self, monkeypatch):
         # one measure for square matrices and column sets, compared with UNITARY_TOL
         u = np.eye(3) * 1.0001

@@ -6,7 +6,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracle import canonical_target_columns, gram_schmidt_unitary, partial_trace_loops
+from oracle import (
+    canonical_target_columns,
+    gram_schmidt_unitary,
+    partial_trace_loops,
+    permute_qubits,
+)
 from telecap import capacity, linalg
 from telecap.capacity import (
     analyze,
@@ -18,7 +23,7 @@ from telecap.capacity import (
 )
 from telecap.corpus import generate_planted, ghz_channel
 from telecap.linalg import hermitian_eig
-from telecap.states import ChannelState, bell_state, permute_qubits, random_pure_state, tensor
+from telecap.states import ChannelState, bell_state, random_pure_state, tensor
 from telecap.teleport import teleport_bell
 
 PLANTED_SMALL = [(m, n, d) for m in range(1, 8) for n in range(1, 9 - m)
@@ -116,6 +121,17 @@ def test_non_unitary_small_factor_rejected(monkeypatch):
     frame = capacity._completed_frame
     monkeypatch.setattr(capacity, "_completed_frame", lambda cols: 1.001 * frame(cols))
     with pytest.raises(ArithmeticError, match="unitarity check"):
+        analyze(channel)
+
+
+def test_non_unitary_dense_frame_rejected(monkeypatch):
+    # a planted 2|2 channel's purifier is the dense frame, not factors
+    channel = generate_planted(2, 2, 1, seed=8).channel
+    assert analyze(channel).purifier_factors is None
+    frame = capacity._completed_frame
+    monkeypatch.setattr(capacity, "_completed_frame", lambda cols: 1.001 * frame(cols))
+    with pytest.raises(ArithmeticError,
+                       match="^synthesized sender unitary failed the unitarity check$"):
         analyze(channel)
 
 

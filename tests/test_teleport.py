@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from oracle import dominant_factor, expansion_identity_defect
+from oracle import basis_state, dominant_factor, expansion_identity_defect
 from telecap import capacity, linalg, teleport
 from telecap.capacity import analyze, canonical_state
 from telecap.corpus import generate_planted, ghz_channel, n_bell_channel
@@ -14,7 +14,6 @@ from telecap.states import (
     ChannelState,
     PureState,
     apply_unitary,
-    basis_state,
     bell_state,
     fidelity,
     project_and_collapse,

@@ -8,7 +8,12 @@ mutants of the values and comparisons."""
 import numpy as np
 import pytest
 
-from oracle import canonical_target_columns, entropy_bits_direct, partial_trace_loops
+from oracle import (
+    basis_state,
+    canonical_target_columns,
+    entropy_bits_direct,
+    partial_trace_loops,
+)
 from telecap import capacity, cli, linalg, states, teleport
 from telecap.capacity import (
     AnalysisReport,
@@ -24,7 +29,6 @@ from telecap.linalg import EigenvalueCluster, cluster_spectrum, hermitian_eig, i
 from telecap.states import (
     ChannelState,
     PureState,
-    basis_state,
     project_and_collapse,
     tensor,
 )
