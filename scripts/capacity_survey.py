@@ -15,7 +15,7 @@ import argparse
 import numpy as np
 
 from telecap import analyze, generate_planted, random_channel
-from telecap.capacity import DEFAULT_EPS
+from telecap.linalg import DEFAULT_EPS
 
 
 def random_sweep(cfg: argparse.Namespace) -> None:

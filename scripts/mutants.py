@@ -190,6 +190,18 @@ MUTANTS = [
     Mutant("teleport.py", "_read_only(np.eye(4, dtype=complex))",
            "_read_only(np.eye(4, dtype=complex)[::-1])", ("tests/test_teleport.py",)),
     # ------------------------------------------------------------------
+    # A planted residual needs both halves of its gap test, every gap and
+    # the smallest weight above the margin; the generator's exhaustion and
+    # the sender unitary's residual-rank ArithmeticError are each reached.
+    Mutant("corpus.py", "np.append(-np.diff(p), p[-1])", "-np.diff(p)",
+           ("tests/test_corpus.py::TestPlanted",)),
+    Mutant("corpus.py", "np.append(-np.diff(p), p[-1])", "p[-1:]",
+           ("tests/test_corpus.py::TestPlanted",)),
+    Mutant("corpus.py", 'raise ArithmeticError("could not draw a gapped residual spectrum")',
+           "return candidate", ("tests/test_corpus.py::TestPlanted",)),
+    Mutant("capacity.py", "if labels.size and labels[-1] >= da_res:", "if False:",
+           ("tests/test_sender_unitary.py",)),
+    # ------------------------------------------------------------------
     # A failed certificate ends analyze and verify with an error, even
     # when the spectrum admits the capacity.
     Mutant("capacity.py", "if not holds:\n        raise ArithmeticError(",

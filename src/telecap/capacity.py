@@ -54,7 +54,6 @@ from .linalg import (
 from .states import ChannelState, PureState, _grouped, _read_only, _ungrouped
 
 __all__ = [
-    "DEFAULT_EPS",
     "DENSE_BUDGET_BYTES",
     "AnalysisReport",
     "bipartition_matrix",

@@ -30,9 +30,9 @@ from itertools import chain
 
 import numpy as np
 
-from .capacity import DEFAULT_EPS, _two_adic, analyze, certify
+from .capacity import _two_adic, analyze, certify
 from .corpus import generate_planted, ghz_canonical_form, ghz_channel, ghz_cnot_chain
-from .linalg import NORM_TOL
+from .linalg import DEFAULT_EPS, NORM_TOL
 from .states import MAX_QUBITS, ChannelState, PureState, random_pure_state
 from .teleport import CapacityShortfall, teleport_bell, teleport_circuit
 
@@ -207,6 +207,14 @@ def save_state_file(path: str, state: PureState, alice=None, bob=None) -> None:
     _write_whole(path, _state_pieces(state, alice, bob))
 
 
+def _write_output(path: str, pieces) -> None:
+    """_write_whole for a command's output file; a failed write exits 4."""
+    try:
+        _write_whole(path, pieces)
+    except OSError as exc:
+        raise CliFailure(EXIT_INFEASIBLE, f"cannot write {path}: {exc.strerror or exc}")
+
+
 def load_state_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fp:
@@ -276,11 +284,7 @@ def _write_report(path: str, report) -> None:
     else:
         doc["u_b" if report.swapped else "u_a"] = {"w": None, "c_minus_i": None}
         arrays = [report.u_a, *factors] if report.swapped else [*factors, report.u_b]
-    pieces = _document_pieces(doc, arrays + [report.eta])
-    try:
-        _write_whole(path, pieces)
-    except OSError as exc:
-        raise CliFailure(EXIT_INFEASIBLE, f"cannot write {path}: {exc.strerror or exc}")
+    _write_output(path, _document_pieces(doc, arrays + [report.eta]))
 
 
 def _print_branches(result) -> None:
@@ -334,7 +338,7 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _teleport_run(channel, payload, args, method):
+def _teleport_run(channel, payload, args):
     report = analyze(channel, args.eps)
     payload_seed, sample_seed = np.random.SeedSequence(args.seed).spawn(2)
     if payload is None:
@@ -346,7 +350,7 @@ def _teleport_run(channel, payload, args, method):
                              "cap and leaves no room for a payload")
         payload = random_pure_state(min(report.capacity, room), payload_seed)
     print(f"entropy={report.entropy_bits:.6f} capacity={report.capacity}")
-    run = teleport_bell if method == "bell" else teleport_circuit
+    run = teleport_bell if args.method == "bell" else teleport_circuit
     result = run(channel, payload, report, mode=args.mode, seed=sample_seed, trials=args.trials)
     _print_branches(result)
     _check_fidelity(result)
@@ -356,25 +360,19 @@ def _teleport_run(channel, payload, args, method):
 def _cmd_teleport(args) -> int:
     channel = _load_channel(args.channel)
     payload = _load_payload(args.payload) if args.payload else None
-    return _teleport_run(channel, payload, args, args.method)
+    return _teleport_run(channel, payload, args)
 
 
 def _cmd_generate(args) -> int:
     m, n, d = args.m, args.n, args.d
-    try:
-        planted = generate_planted(m, n, d, args.seed, args.eps)
-    except ValueError as exc:
-        raise CliFailure(EXIT_INFEASIBLE, str(exc))
-    ch = planted.channel
+    ch = generate_planted(m, n, d, args.seed, args.eps).channel
+    pieces = _state_pieces(ch.state, ch.alice, ch.bob)
     if args.output:
-        try:
-            save_state_file(args.output, ch.state, ch.alice, ch.bob)
-        except OSError as exc:
-            raise CliFailure(EXIT_INFEASIBLE, f"cannot write {args.output}: {exc.strerror or exc}")
+        _write_output(args.output, pieces)
         print(f"planted capacity={d} qubits={m}+{n} seed={args.seed} "
               f"file={args.output}")
     else:
-        sys.stdout.writelines(_state_pieces(ch.state, ch.alice, ch.bob))
+        sys.stdout.writelines(pieces)
     return EXIT_OK
 
 
@@ -386,7 +384,7 @@ def _cmd_demo_ghz(args) -> int:
     chained = channel.state.amplitudes[ghz_cnot_chain(n, m)]
     match = np.array_equal(chained, ghz_canonical_form(n).amplitudes)
     print(f"cnot_chain_reaches_bell={'true' if match else 'false'}")
-    return _teleport_run(channel, None, args, args.method)
+    return _teleport_run(channel, None, args)
 
 
 # ----------------------------------------------------------------- entry path

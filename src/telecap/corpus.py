@@ -187,19 +187,18 @@ def _gapped_residual(ra: int, rb: int, d: int, eps: float, seq) -> np.ndarray:
     """The residual factor's (2**ra x 2**rb) amplitude matrix, with an
     eps-simple receiver-side spectrum.
 
-    When either side is empty the residual is the other side's |0...0>,
-    which needs no gap condition: it contributes a single weight-one value.
+    Up to 256 candidates are drawn, each from seq's next child, and the
+    first is kept whose descending Schmidt weights have every gap and the
+    smallest weight above the margin.  When either side is empty the
+    residual is the other side's |0...0>, which needs no gap condition: it
+    contributes a single weight-one value.
     """
     if ra == 0 or rb == 0:
         return np.eye(1 << ra, 1 << rb)
     margin = 10.0 * eps * (1 << d)
-    for child in seq.spawn(256):
-        candidate = random_pure_state(ra + rb, child).amplitudes.reshape(1 << ra, 1 << rb)
-        s = np.linalg.svd(candidate, compute_uv=False)
-        p = np.sort(s * s)[::-1]
-        if p[-1] <= margin:
-            continue
-        if p.size > 1 and np.min(-np.diff(p)) <= margin:
-            continue
-        return candidate
+    for _ in range(256):
+        candidate = random_pure_state(ra + rb, seq.spawn(1)[0]).amplitudes.reshape(1 << ra, -1)
+        p = np.linalg.svd(candidate, compute_uv=False) ** 2
+        if np.min(np.append(-np.diff(p), p[-1])) > margin:
+            return candidate
     raise ArithmeticError("could not draw a gapped residual spectrum")

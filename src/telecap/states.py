@@ -19,7 +19,6 @@ from .linalg import ABSENT_WEIGHT, NORM_TOL, UNITARY_TOL, _unitarity_defect
 
 __all__ = [
     "MAX_QUBITS",
-    "NORM_TOL",
     "PureState",
     "ChannelState",
     "bell_state",

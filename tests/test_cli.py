@@ -6,6 +6,7 @@ import stat
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,21 @@ def planted_file(tmp_path, run):
     code, _, _ = run("generate", 2, 2, 1, "--seed", 7, "-o", path)
     assert code == EXIT_OK
     return str(path)
+
+
+def cpu_and_peak(call, *argv):
+    """call(*argv)'s result, the CPU seconds this process spent in it and
+    its peak traced allocation in bytes.  A loaded host stretches the wall
+    clock of a call, not its own CPU time."""
+    tracemalloc.start()
+    try:
+        start = time.process_time()
+        result = call(*argv)
+        seconds = time.process_time() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, seconds, peak
 
 
 def child_env():
@@ -242,10 +258,10 @@ class TestTeleportCommand:
     @pytest.mark.parametrize("qubits,split", [(16, 8), (16, 15), (16, 1)])
     def test_no_room_for_default_payload(self, run, qubits, split):
         # the CNOT-chain check and the analysis stay cheap at the cap in
-        # every split, so the refusal comes in well under a second
-        start = time.perf_counter()
-        code, _, err = run("demo-ghz", qubits, split)
-        assert time.perf_counter() - start < 1.0
+        # every split, so the refusal takes well under a second of CPU and
+        # far less memory than a dense chain (1 GiB at 13 qubits)
+        (code, _, err), seconds, peak = cpu_and_peak(run, "demo-ghz", qubits, split)
+        assert seconds < 1.0 and peak < 64 << 20
         assert code == EXIT_INFEASIBLE
         assert err == "error: the channel fills the 16-qubit cap and leaves no room for a payload\n"
 
@@ -375,6 +391,12 @@ class TestGenerateCommand:
         code, _, err = run("generate", 1, 2, 2, "-o", tmp_path / "x.json")
         assert code == EXIT_INFEASIBLE and "0..min" in err
 
+    def test_no_gapped_residual(self, run):
+        # at eps 0.1 a 2|2 channel's residual needs its weights and gap above 2
+        code, out, err = run("generate", 2, 2, 1, "--eps", 0.1)
+        assert code == EXIT_INFEASIBLE and out == ""
+        assert err == "error: could not draw a gapped residual spectrum\n"
+
 
 # Runs each argv (a JSON list of lists) through main in one child process
 # whose writes stop at 8 KiB, and prints the exit codes as the last line.
@@ -434,9 +456,8 @@ class TestAllOrNothingOutputs:
 class TestDemoGhz:
     def test_runs(self, run):
         for qubits, split in ((5, 2), (14, 13)):
-            start = time.perf_counter()
-            code, out, _ = run("demo-ghz", qubits, split)
-            assert time.perf_counter() - start < 1.0
+            (code, out, _), seconds, peak = cpu_and_peak(run, "demo-ghz", qubits, split)
+            assert seconds < 1.0 and peak < 64 << 20
             assert code == EXIT_OK
             assert "cnot_chain_reaches_bell=true" in out
             assert "capacity=1" in out

@@ -42,6 +42,10 @@ class TestHaarUnitary:
     def test_matches_square_qr_bit_for_bit(self, dim, seed):
         assert np.array_equal(haar_unitary(dim, seed), haar_unitary_square_qr(dim, seed))
 
+    def test_dimension_guard(self):
+        with pytest.raises(ValueError, match="^dimension must be 2..65536$"):
+            haar_unitary(1, 0)
+
     def test_mean_single_qubit_purity(self):
         # normalized purity 2 tr(rho^2) - 1 of a one-qubit marginal of a
         # Haar two-qubit state averages to 3/5
@@ -151,6 +155,12 @@ class TestGhz:
             out = ghz_channel(n, m).state.amplitudes[perm]
             assert np.max(np.abs(out - ghz_canonical_form(n).amplitudes)) < 1e-12
 
+    def test_guards(self):
+        with pytest.raises(ValueError, match="^need 1 <= m < n$"):
+            ghz_channel(3, 3)
+        with pytest.raises(ValueError, match="^need 1 <= m < n <= 16$"):
+            ghz_cnot_chain(3, 3)
+
     def test_canonical_form_amplitudes(self):
         v = ghz_canonical_form(4).amplitudes
         assert v[0] == pytest.approx(S) and v[9] == pytest.approx(S)
@@ -210,6 +220,30 @@ class TestPlanted:
             generate_planted(2, 1, 2, seed=0)
         with pytest.raises(ValueError, match="positive"):
             generate_planted(0, 1, 0, seed=0)
+
+    def test_gap_test_keeps_the_first_gapped_candidate(self, monkeypatch):
+        # at d = 1 and eps = 1e-9 the margin is 2e-8: the first candidate's
+        # smaller weight lies under it, the second's gap does, the third
+        # passes; each candidate is drawn from its own next child seed
+        weights = [(1 - 1e-9, 1e-9), (0.5 + 5e-9, 0.5 - 5e-9), (0.7, 0.3)]
+        candidates = iter(PureState(np.diag(np.sqrt(w)).ravel()) for w in weights)
+        keys = []
+
+        def drawn(n, seed):
+            keys.append(seed.spawn_key)
+            return next(candidates)
+
+        monkeypatch.setattr(corpus, "random_pure_state", drawn)
+        seq = np.random.SeedSequence(5)
+        got = corpus._gapped_residual(1, 1, 1, 1e-9, seq)
+        assert np.array_equal(got, np.diag(np.sqrt([0.7, 0.3])))
+        assert keys == [(0,), (1,), (2,)] and seq.n_children_spawned == 3
+
+    def test_no_gapped_residual_at_a_coarse_eps(self):
+        # at eps 0.1 a 2|2 channel's residual needs its weights and gap above 2
+        with pytest.raises(ArithmeticError,
+                           match="^could not draw a gapped residual spectrum$"):
+            generate_planted(2, 2, 1, 3, eps=0.1)
 
     @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 1.0, 0.0])
     def test_rejects_eps_outside_unit_interval(self, eps):

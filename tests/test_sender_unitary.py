@@ -23,7 +23,7 @@ from telecap.capacity import (
 )
 from telecap.corpus import generate_planted, ghz_channel
 from telecap.linalg import hermitian_eig
-from telecap.states import ChannelState, bell_state, random_pure_state, tensor
+from telecap.states import ChannelState, PureState, bell_state, random_pure_state, tensor
 from telecap.teleport import teleport_bell
 
 PLANTED_SMALL = [(m, n, d) for m in range(1, 8) for n in range(1, 9 - m)
@@ -146,6 +146,19 @@ def test_non_orthonormal_span_rejected(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", skewed)
     with pytest.raises(ArithmeticError, match="unitarity check"):
         analyze(channel)
+
+
+def test_residual_rank_beyond_the_ancilla_space_rejected():
+    # (|0>|00> + |1>|10>)/sqrt(2) split 1|2: at eps 0.3, u_b = I passes the
+    # certificate for d = 1, but the residual then has rank 2 and the
+    # sender keeps no qubit beside her Bell half to purify it
+    v = np.zeros(8, dtype=complex)
+    v[0] = v[6] = 2 ** -0.5
+    channel = ChannelState(PureState(v), (0,), (1, 2))
+    assert verify_condition(channel, np.eye(4), 1, eps=0.3)
+    with pytest.raises(ArithmeticError,
+                       match="^residual rank exceeds the sender's ancilla space$"):
+        synthesize_u_a(channel, np.eye(4), 1, eps=0.3)
 
 
 def test_frame_rejects_dependent_columns():

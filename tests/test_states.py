@@ -35,6 +35,14 @@ class TestConstruction:
         assert abs(v[0] - S) < 1e-15 and abs(v[7] - S) < 1e-15
         assert np.all(v[1:7] == 0)
 
+    def test_family_guards(self):
+        with pytest.raises(ValueError, match="^Bell index must be 1..4$"):
+            bell_state(5)
+        with pytest.raises(ValueError, match="^ghz_state needs 2..16 qubits$"):
+            ghz_state(1)
+        with pytest.raises(ValueError, match="^need 1..16 qubits$"):
+            random_pure_state(0, 0)
+
     def test_norm_guard(self):
         with pytest.raises(ValueError, match="unit norm"):
             PureState(np.array([1.0, 1.0]))
@@ -102,6 +110,10 @@ class TestApplyUnitary:
         with pytest.raises(ValueError):
             apply_unitary(bell_state(1), np.eye(4), [0, 0])
 
+    def test_rejects_operator_of_another_size(self):
+        with pytest.raises(ValueError, match="^operator dimension does not match target count$"):
+            apply_unitary(bell_state(1), np.eye(4), [0])
+
 
 class TestPermuteAndTensor:
     def test_tensor_is_kron(self):
@@ -117,6 +129,10 @@ class TestPermuteAndTensor:
     def test_tensor_cap(self):
         with pytest.raises(ValueError, match="exceeds"):
             tensor([random_pure_state(9, 0), random_pure_state(8, 1)])
+
+    def test_tensor_of_nothing(self):
+        with pytest.raises(ValueError, match="^tensor needs at least one state$"):
+            tensor([])
 
 
 class TestProjection:
@@ -147,6 +163,16 @@ class TestProjection:
         with pytest.raises(ValueError, match="orthonormal"):
             project_and_collapse(bell_state(1), (0,), skew, 0)
 
+    def test_rejects_basis_of_another_size(self):
+        basis = [bell_state(k) for k in (1, 2, 3, 4)]
+        with pytest.raises(ValueError, match="^basis states do not match target count$"):
+            project_and_collapse(random_pure_state(3, 5), (0,), basis, 0)
+
+    def test_rejects_outcome_outside_basis(self):
+        basis = [bell_state(k) for k in (1, 2, 3, 4)]
+        with pytest.raises(ValueError, match="^outcome index outside basis$"):
+            project_and_collapse(random_pure_state(3, 5), (0, 1), basis, 4)
+
 
 class TestFidelity:
     def test_phase_invariant(self):
@@ -156,6 +182,10 @@ class TestFidelity:
 
     def test_orthogonal(self):
         assert fidelity(basis_state((0,)), basis_state((1,))) == 0.0
+
+    def test_rejects_states_of_another_size(self):
+        with pytest.raises(ValueError, match="^states differ in qubit count$"):
+            fidelity(basis_state((0,)), bell_state(1))
 
     @settings(max_examples=25)
     @given(st.integers(0, 10_000), st.integers(1, 4))
