@@ -5,8 +5,10 @@ Each mutant replaces one piece of text, which must occur exactly once, in
 one module of src/telecap.  The run copies the package into a temporary
 directory, applies one mutant at a time to the copy and runs
 `pytest -x -q` on the test files the mutant names, with the copy first on
-PYTHONPATH.  A mutant is killed when those tests fail and survives when
-they pass.
+PYTHONPATH.  A mutant is killed when those tests fail (pytest exits 1) and
+survives when they pass (exit 0).  Any other exit status means no test
+judged the mutant: collection failed, pytest was misused or found no
+tests, or the run timed out.  Such a mutant is invalid and fails the run.
 
 Before any mutant, the unmutated copy must pass every named test file.
 The run fails if a mutant survives, unless the mutant is marked
@@ -178,8 +180,7 @@ MUTANTS = [
     # ------------------------------------------------------------------
     # The receiver's correction after Bell outcome 3 is -sigma_x: the
     # reference rounds take it from the oracle's table, not the package's.
-    Mutant("teleport.py", "np.array([[0, -1], [-1, 0]], dtype=complex),  # 3: -sigma_x",
-           "np.array([[0, 1], [1, 0]], dtype=complex),  # 3: -sigma_x",
+    Mutant("teleport.py", "[[0, -1], [-1, 0]],  # 3: -sigma_x", "[[0, 1], [1, 0]],  # 3: -sigma_x",
            ("tests/test_teleport.py",)),
     # ------------------------------------------------------------------
     # A planted reference is the singlets, then the residual; the circuit
@@ -187,8 +188,12 @@ MUTANTS = [
     Mutant("corpus.py", "mat = np.kron(mat, _gapped_residual(ra, rb, d, eps, residual_seq))",
            "mat = np.kron(_gapped_residual(ra, rb, d, eps, residual_seq), mat)",
            ("tests/test_corpus.py",)),
-    Mutant("teleport.py", "_read_only(np.eye(4, dtype=complex))",
-           "_read_only(np.eye(4, dtype=complex)[::-1])", ("tests/test_teleport.py",)),
+    Mutant("teleport.py", "np.eye(4, dtype=complex), _CIRCUIT",
+           "np.eye(4, dtype=complex)[::-1], _CIRCUIT", ("tests/test_teleport.py",)),
+    # The measurement circuit is CNOT, then H: without the CNOT it reads no
+    # Bell state.
+    Mutant("teleport.py", "@ np.eye(4, dtype=complex)[[0, 3, 2, 1]]", "@ np.eye(4, dtype=complex)",
+           ("tests/test_teleport.py",)),
     # ------------------------------------------------------------------
     # A planted residual needs both halves of its gap test, every gap and
     # the smallest weight above the margin; the generator's exhaustion and
@@ -257,8 +262,11 @@ def main() -> int:
                 code = _pytest(mutant.tests, env)
             finally:
                 path.write_text(original)
-            killed = code != 0
-            if mutant.equivalent:
+            killed = code == 1
+            if code not in (0, 1):
+                verdict = f"INVALID, pytest exit {code}"
+                failures += 1
+            elif mutant.equivalent:
                 verdict = "KILLED, but marked equivalent" if killed else "equivalent, survived"
                 failures += killed
             else:

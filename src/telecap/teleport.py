@@ -11,10 +11,10 @@ unitaries.  The report checks its unitaries against the channel on every
 call and applies its purifier in the form analyze built it, so where
 that is the identity plus a rank-2r correction, a teleport neither
 assembles nor multiplies by the dense 2**m x 2**m matrix.  The Bell
-flavour measures (payload qubit, sender half) directly in the Bell
-basis; the circuit flavour first applies the standard two-qubit
-measurement circuit and reads both qubits in the computational basis.
-The two differ only in how the classical two-bit message is labeled.
+flavour measures (payload qubit, sender half) in the Bell basis; the
+circuit flavour runs the CNOT + H measurement circuit, then reads both
+qubits in the computational basis.  The two differ only in how the
+two-bit message is labeled; each is one constant table, built at import.
 
 Every branch comes from one table.  The joint state is built straight in
 the layout the walk needs: one outer product of the payload with the
@@ -46,7 +46,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,7 +67,6 @@ __all__ = [
     "CapacityShortfall",
     "BranchOutcome",
     "TeleportResult",
-    "circuit_unitary",
     "bell_round",
     "circuit_round",
     "teleport_bell",
@@ -79,60 +78,39 @@ class CapacityShortfall(ValueError):
     """Payload needs more faithful qubits than the channel provides."""
 
 
-_CORRECTIONS = (
-    np.array([[1, 0], [0, 1]], dtype=complex),    # 1: identity
-    np.array([[1, 0], [0, -1]], dtype=complex),   # 2: sigma_z
-    np.array([[0, -1], [-1, 0]], dtype=complex),  # 3: -sigma_x
-    np.array([[0, 1], [-1, 0]], dtype=complex),   # 4: i sigma_y
-)
-for _c in _CORRECTIONS:
-    _c.setflags(write=False)
+_CORRECTIONS = _read_only(np.array([
+    [[1, 0], [0, 1]],    # 1: identity
+    [[1, 0], [0, -1]],   # 2: sigma_z
+    [[0, -1], [-1, 0]],  # 3: -sigma_x
+    [[0, 1], [-1, 0]],   # 4: i sigma_y
+], dtype=complex))
+
+# CNOT (control = second qubit, target = first), then H on the second qubit:
+# Bell state i goes to computational state 4 - i, with -1 on the singlet only.
+_CIRCUIT = _read_only(np.kron(np.eye(2, dtype=complex), np.array([[1, 1], [1, -1]]) / np.sqrt(2.0))
+                      @ np.eye(4, dtype=complex)[[0, 3, 2, 1]])
 
 
-def circuit_unitary() -> np.ndarray:
-    """Two-qubit measurement circuit: CNOT (control = second qubit,
-    target = first), then H on the second qubit.
-
-    It carries Bell state i to the computational state with index 4 - i,
-    with a factor -1 on the singlet branch only; reading both qubits in
-    the computational basis is therefore a relabeled Bell measurement.
-    """
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-    cnot = np.zeros((4, 4), dtype=complex)
-    for a, b in ((0, 0), (1, 3), (2, 2), (3, 1)):
-        cnot[b, a] = 1.0
-    return np.kron(np.eye(2, dtype=complex), h) @ cnot
-
-
-@dataclass(frozen=True, eq=False)
-class _Protocol:
-    """How one flavour reads a pair: apply pre_unitary (if any) to
-    (message, sender half), project onto basis row r for raw outcome r,
-    and correct the receiver half with operator corrections[r]."""
+class _Flavour(NamedTuple):
+    """Raw outcome r projects (message, sender half) onto basis row r, after
+    the circuit if the flavour runs it, then corrects the receiver half with
+    operator corrections[r]; pair_operator does both, unnormalized, as a
+    (4, 2, 4, 2) map from (message, sender, receiver) to (r, receiver)."""
 
     basis: np.ndarray
-    pre_unitary: np.ndarray | None
+    pair_operator: np.ndarray
     corrections: tuple[int, ...]
 
-    @cached_property
-    def pair_operator(self) -> np.ndarray:
-        """(4, 2, 4, 2) map from (message and sender half, receiver half) to
-        (raw outcome, corrected receiver half), unnormalized.
 
-        Row r of the covector matrix reads outcome r off the two measured
-        qubits: conj(basis[r]) after pre_unitary.
-        """
-        covectors = self.basis.conj()
-        if self.pre_unitary is not None:
-            covectors = covectors @ self.pre_unitary
-        fixes = np.array([_CORRECTIONS[c - 1] for c in self.corrections])
-        return np.einsum("rx,rcb->rcxb", covectors, fixes)
+def _flavour(basis: np.ndarray, circuit: np.ndarray | None, corrections) -> _Flavour:
+    covectors = basis.conj() if circuit is None else basis.conj() @ circuit
+    pair = np.einsum("rx,rcb->rcxb", covectors, _CORRECTIONS[[c - 1 for c in corrections]])
+    return _Flavour(_read_only(basis), _read_only(pair), corrections)
 
 
 _PROTOCOLS = {
-    "bell": _Protocol(_read_only(np.array([bell_state(i).amplitudes for i in (1, 2, 3, 4)])),
-                      None, (1, 2, 3, 4)),
-    "circuit": _Protocol(_read_only(np.eye(4, dtype=complex)), circuit_unitary(), (4, 3, 2, 1)),
+    "bell": _flavour(np.array([bell_state(i).amplitudes for i in (1, 2, 3, 4)]), None, (1, 2, 3, 4)),
+    "circuit": _flavour(np.eye(4, dtype=complex), _CIRCUIT, (4, 3, 2, 1)),
 }
 
 

@@ -262,9 +262,9 @@ class TestPlantedAtCap:
     def test_lopsided_split_at_the_cap(self, m, n, d):
         tracemalloc.start()
         try:
-            start = time.perf_counter()
+            start = time.process_time()
             p = generate_planted(m, n, d, seed=3)
-            seconds = time.perf_counter() - start
+            seconds = time.process_time() - start
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

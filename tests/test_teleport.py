@@ -24,7 +24,6 @@ from telecap.teleport import (
     CapacityShortfall,
     bell_round,
     circuit_round,
-    circuit_unitary,
     teleport_bell,
     teleport_circuit,
 )
@@ -32,7 +31,7 @@ from telecap.teleport import (
 
 class TestCircuitUnitary:
     def test_maps_bell_to_computational_with_frozen_signs(self):
-        u = circuit_unitary()
+        u = teleport._CIRCUIT
         signs = {1: -1.0, 2: 1.0, 3: 1.0, 4: 1.0}
         for i in (1, 2, 3, 4):
             got = u @ bell_state(i).amplitudes
@@ -41,8 +40,31 @@ class TestCircuitUnitary:
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_unitary(self):
-        u = circuit_unitary()
+        u = teleport._CIRCUIT
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
+
+
+class TestFlavourTables:
+    """Each flavour's basis and pair operator, rebuilt from the oracle's
+    Bell vectors, circuit and corrections: equal bit for bit, and frozen."""
+
+    @pytest.mark.parametrize("method, corrections", [("bell", (1, 2, 3, 4)),
+                                                     ("circuit", (4, 3, 2, 1))])
+    def test_tables_match_the_oracle(self, method, corrections):
+        if method == "bell":
+            basis = np.array(oracle._BELL_VECTORS)
+            covectors = basis.conj()
+        else:
+            basis = np.eye(4, dtype=complex)
+            covectors = basis.conj() @ oracle._MEASUREMENT_CIRCUIT
+        fixes = np.array([oracle._FIXES[c - 1] for c in corrections])
+        pair_operator = np.einsum("rx,rcb->rcxb", covectors, fixes)
+        flavour = teleport._PROTOCOLS[method]
+        assert flavour.corrections == corrections
+        for got, want in ((flavour.basis, basis), (flavour.pair_operator, pair_operator)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 0
 
 
 class TestExpansionIdentity:
