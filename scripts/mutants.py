@@ -171,6 +171,24 @@ MUTANTS = [
     # reused for any channel of the same split, it teleports another state.
     Mutant("capacity.py", "kept[0] is channel", "True", ("tests/test_kept_canonical.py",)),
     # ------------------------------------------------------------------
+    # The report checks the canonical form it makes, once; the joint state
+    # holds at most 16 qubits, payload included.
+    Mutant("capacity.py", "        _check_unit(mat)\n", "",
+           ("tests/test_teleport.py::TestReportChecks::"
+            "test_report_that_stretches_the_channel_rejected",)),
+    Mutant("teleport.py", "k + channel.state.n_qubits > MAX_QUBITS:",
+           "k + channel.state.n_qubits >= MAX_QUBITS:",
+           ("tests/test_branch_table.py", "tests/test_teleport.py")),
+    Mutant("teleport.py", "if k + channel.state.n_qubits > MAX_QUBITS:", "if False:",
+           ("tests/test_teleport.py::TestReportChecks::"
+            "test_channel_and_payload_over_the_cap_rejected",)),
+    # States each within NORM_TOL of unit norm: tensor renormalizes their
+    # product, and a teleport's fidelity is against the normalized payload.
+    Mutant("states.py", "v = v / scale", "pass",
+           ("tests/test_states.py::TestPermuteAndTensor",)),
+    Mutant("teleport.py", "captured /= np.vdot(payload.amplitudes, payload.amplitudes).real",
+           "pass", ("tests/test_teleport.py::TestNormEdge",)),
+    # ------------------------------------------------------------------
     # verify names the first cluster whose multiplicity 2**d does not
     # divide, and the largest Bell stack fills the 16-qubit cap.
     Mutant("cli.py", "_two_adic(c.multiplicity) < d)", "_two_adic(c.multiplicity) <= d)",

@@ -51,7 +51,7 @@ from .linalg import (
     cluster_spectrum,
     hermitian_eig,
 )
-from .states import ChannelState, PureState, _grouped, _read_only, _ungrouped
+from .states import ChannelState, PureState, _check_unit, _grouped, _read_only, _ungrouped
 
 __all__ = [
     "DENSE_BUDGET_BYTES",
@@ -162,7 +162,7 @@ class AnalysisReport:
 
     _canonicalize keeps the last channel object it canonicalized and that
     channel's canonical matrix u_a M u_bᵀ, read-only, as _kept; a call on
-    the same object reuses the matrix after the same checks.  The key is
+    the same object reuses the matrix after _oriented's checks.  The key is
     the object's identity, which is sound for the reason the unitary flag
     is: a channel is frozen and its state owns read-only amplitudes.  So a
     report holds at most one channel and one matrix of its size beyond its
@@ -231,9 +231,9 @@ class AnalysisReport:
         amplitude matrix M, checked by _oriented: the channel after both
         local unitaries.  M is oriented with the purifying (larger) party's
         rows; the structural unitary acts on its columns first, then the
-        purifier on its rows.  The result for the last channel object is
-        kept, so a repeated call on that object skips the products but not
-        the checks.
+        purifier on its rows.  The product is checked once, as PureState
+        checks amplitudes, and kept for the last channel object, so a
+        repeated call on that object runs only _oriented's checks.
         """
         purifier, u_struct = self._oriented(channel)
         kept = self._kept
@@ -243,6 +243,7 @@ class AnalysisReport:
         if self.swapped:
             mat = mat.T
         mat = _read_only(purifier @ (mat @ u_struct.T))
+        _check_unit(mat)
         kept = (channel, mat.T if self.swapped else mat)
         object.__setattr__(self, "_kept", kept)
         return kept[1]

@@ -63,20 +63,14 @@ def _ungrouped(mat: np.ndarray, first) -> PureState:
     return PureState(mat.reshape((2,) * n).transpose(np.argsort([*first, *rest])).reshape(-1))
 
 
-def _check_unit(norm: float) -> None:
-    """Raise unless a state's norm is within NORM_TOL of 1."""
-    if abs(norm - 1.0) > NORM_TOL:
-        raise ValueError("state is not unit norm within 1e-9")
-
-
-def _unit_norm(v: np.ndarray) -> float:
-    """The norm of amplitudes v, once they pass the checks every PureState
-    makes: finite entries, unit norm within NORM_TOL."""
+def _check_unit(v: np.ndarray) -> None:
+    """Raise unless amplitudes v pass the checks every PureState makes:
+    finite entries, unit norm within NORM_TOL."""
     if not np.isfinite(v).all():
         raise ValueError("amplitudes contain non-finite entries")
     norm = np.linalg.norm(v)
-    _check_unit(norm)
-    return norm
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError("state is not unit norm within 1e-9")
 
 
 def _check_targets(targets, n: int) -> list[int]:
@@ -102,7 +96,7 @@ class PureState:
             raise ValueError("amplitude count must be 2**n for n >= 1")
         if n > MAX_QUBITS:
             raise ValueError(f"states are capped at {MAX_QUBITS} qubits")
-        _unit_norm(v)
+        _check_unit(v)
         object.__setattr__(self, "amplitudes", _read_only(v.copy()))
 
     @property
@@ -183,7 +177,9 @@ def apply_unitary(state: PureState, u, targets) -> PureState:
 
 
 def tensor(states) -> PureState:
-    """Tensor product; qubit labels of each factor shift by a running offset."""
+    """Tensor product; qubit labels of each factor shift by a running offset.
+    A product whose norm is off by more than NORM_TOL, as factors each
+    within it can make, is renormalized; any other keeps its bytes."""
     states = list(states)
     if not states:
         raise ValueError("tensor needs at least one state")
@@ -193,26 +189,10 @@ def tensor(states) -> PureState:
     v = states[0].amplitudes
     for s in states[1:]:
         v = np.multiply.outer(v, s.amplitudes).reshape(-1)
+    scale = np.prod([np.linalg.norm(s.amplitudes) for s in states])
+    if abs(scale - 1.0) > NORM_TOL:
+        v = v / scale
     return PureState(v)
-
-
-def _tensor_grouped(head: PureState, tail: np.ndarray, labels, first) -> np.ndarray:
-    """_grouped(tensor([head, s]).amplitudes, first), where s is the state
-    whose amplitudes, with axes in labels order, are tail: one outer
-    product and one copying transpose, with no state built for s or the
-    product.
-
-    Both pass the checks those two states and tensor would make: tail is
-    finite and of unit norm, the product holds at most MAX_QUBITS qubits,
-    and its norm, head's times tail's, is 1 within NORM_TOL.
-    """
-    norm = _unit_norm(tail)
-    k = head.n_qubits
-    if k + tail.size.bit_length() - 1 > MAX_QUBITS:
-        raise ValueError(f"tensor product exceeds {MAX_QUBITS} qubits")
-    _check_unit(np.linalg.norm(head.amplitudes) * norm)
-    psi = np.multiply.outer(head.amplitudes, tail)
-    return _grouped(psi, first, [*range(k), *(q + k for q in labels)])
 
 
 def project_and_collapse(state: PureState, targets, basis, outcome: int):

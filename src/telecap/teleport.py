@@ -8,13 +8,14 @@ payload qubit is pushed through one pair.  The report keeps that
 canonical form for the last channel object it was given, so further
 teleports of that channel over the same report skip the local
 unitaries.  The report checks its unitaries against the channel on every
-call and applies its purifier in the form analyze built it, so where
-that is the identity plus a rank-2r correction, a teleport neither
-assembles nor multiplies by the dense 2**m x 2**m matrix.  The Bell
-flavour measures (payload qubit, sender half) in the Bell basis; the
-circuit flavour runs the CNOT + H measurement circuit, then reads both
-qubits in the computational basis.  The two differ only in how the
-two-bit message is labeled; each is one constant table, built at import.
+call, checks the canonical form once, when it makes it, and applies its
+purifier in the form analyze built it, so where that is the identity plus
+a rank-2r correction, a teleport neither assembles nor multiplies by the
+dense 2**m x 2**m matrix.  The Bell flavour measures (payload qubit,
+sender half) in the Bell basis; the circuit flavour runs the CNOT + H
+measurement circuit, then reads both qubits in the computational basis.
+The two differ only in how the two-bit message is labeled; each is one
+constant table, built at import.
 
 Every branch comes from one table.  The joint state is built straight in
 the layout the walk needs: one outer product of the payload with the
@@ -58,7 +59,6 @@ from .states import (
     PureState,
     _grouped,
     _read_only,
-    _tensor_grouped,
     _ungrouped,
     bell_state,
 )
@@ -202,12 +202,12 @@ def _prepare(channel: ChannelState, payload: PureState, report: AnalysisReport) 
 
     The report canonicalizes the channel's (sender x receiver) amplitude
     matrix before the payload joins, so the cost of the local unitaries
-    does not grow with the payload, and only once per channel object while
-    it keeps the result; it raises ValueError when they are not unitary or
-    do not match the channel's parties, on every call.  The payload then joins
-    that matrix in one outer product, and one copying transpose groups the
-    product: pair t's (message t, sender half, receiver half) axes side by
-    side, pair 0 first, then the qubits no pair uses, in ascending order.
+    does not grow with the payload, and checks it once per channel object
+    while it keeps the result (AnalysisReport._canonicalize).  The payload,
+    checked as a PureState, then joins that matrix in one outer product,
+    unless that exceeds the qubit cap, and one copying transpose groups it:
+    pair t's (message t, sender half, receiver half) axes side by side,
+    pair 0 first, then the qubits no pair uses, in ascending order.
     """
     k = payload.n_qubits
     if k > report.capacity:
@@ -215,8 +215,11 @@ def _prepare(channel: ChannelState, payload: PureState, report: AnalysisReport) 
             f"payload has {k} qubits but the channel teleports {report.capacity}"
         )
     canonical = report._canonicalize(channel)
+    if k + channel.state.n_qubits > MAX_QUBITS:
+        raise ValueError(f"tensor product exceeds {MAX_QUBITS} qubits")
     first = [q for t, (a, b) in enumerate(report.pairs[:k]) for q in (t, a + k, b + k)]
-    return _tensor_grouped(payload, canonical, channel.alice + channel.bob, first)
+    psi = np.multiply.outer(payload.amplitudes, canonical)
+    return _grouped(psi, first, [*range(k), *(q + k for q in channel.alice + channel.bob)])
 
 
 def _branch_table(psi: np.ndarray, pair_operator: np.ndarray) -> np.ndarray:
@@ -396,8 +399,8 @@ def _sampled_indices(probabilities: np.ndarray, k: int, seed, trials: int) -> np
 # channel or reuses the form kept by an earlier run.  The run's branch
 # labels (4**k rows of about 180 bytes) are built after the walk, beside
 # the one copy left: about 9 KiB at k = 3, under one copy for k >= 4.  A
-# joint state over the qubit cap is sized at the cap, so the checks that
-# refuse it still decide.
+# joint state over the qubit cap is sized at the cap, so _prepare's
+# capacity and cap checks, not the budget, refuse it.
 _TRIAL_BYTES = 680
 _JOINT_COPIES = 3
 _RUN_BYTES = 1 << 15
@@ -405,7 +408,7 @@ _RUN_BYTES = 1 << 15
 
 def _check_trials(trials, qubits: int) -> int:
     """trials as an int of at least 1 whose run, over a joint state of
-    that many qubits (at most MAX_QUBITS), fits the memory budget."""
+    that many qubits (taken as MAX_QUBITS above it), fits the memory budget."""
     try:
         count = operator.index(trials)
     except TypeError:
@@ -430,9 +433,10 @@ def _teleport(channel, payload, report, method, mode, seed, trials):
         indices = np.flatnonzero(probabilities > ABSENT_WEIGHT)
     else:
         indices = _sampled_indices(probabilities, k, seed, trials)
-    # fidelity <payload| rho_r |payload> of the receiver's normalized marginal
+    # fidelity of the receiver's normalized marginal rho_r: <p| rho_r |p> / <p|p>, p the payload
     overlaps = np.einsum("j,rjs->rs", payload.amplitudes.conj(), table)
     captured = np.einsum("rs,rs->r", overlaps.conj(), overlaps).real
+    captured /= np.vdot(payload.amplitudes, payload.amplitudes).real
     fidelities = captured[indices] / probabilities[indices]
     outcomes, corrections = _branch_labels(method, k)
     rows = indices.tolist()

@@ -265,6 +265,19 @@ class TestTeleportCommand:
         assert code == EXIT_INFEASIBLE
         assert err == "error: the channel fills the 16-qubit cap and leaves no room for a payload\n"
 
+    def test_states_at_the_norm_edge(self, run, tmp_path):
+        # a singlet channel and a 1-qubit payload, each 0.9e-9 over unit
+        # norm, load without renormalizing and teleport
+        grow = 1 + 0.9e-9
+        ch = n_bell_channel(1)
+        path, payload_path = tmp_path / "ch.json", tmp_path / "p.json"
+        save_state_file(str(path), PureState(ch.state.amplitudes * grow), ch.alice, ch.bob)
+        save_state_file(str(payload_path), PureState(random_pure_state(1, 3).amplitudes * grow))
+        code, out, err = run("teleport", path, payload_path)
+        assert code == EXIT_OK and err == ""
+        assert len([l for l in out.splitlines() if l.startswith("branch ")]) == 4
+        assert "min_fidelity=1.000000000000" in out
+
     def test_sample_mode(self, run, planted_file):
         code, out, _ = run("teleport", planted_file, "--mode", "sample",
                            "--trials", 5, "--seed", 3, "--method", "circuit")

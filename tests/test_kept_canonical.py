@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracle import sequential_teleport
+from telecap import capacity, states
 from telecap.capacity import _LowRank, analyze, canonical_state
 from telecap.corpus import generate_planted
 from telecap.states import ChannelState, PureState, random_pure_state
@@ -84,6 +85,26 @@ def test_repeated_teleports_reuse_one_product(m, n, d, factored):
         for b, (_, _, probability, fidelity) in zip(got.branches, want):
             assert abs(b.probability - probability) <= 1e-12
             assert abs(b.fidelity - fidelity) <= 1e-12
+
+
+@pytest.mark.parametrize("m,n,d", [(7, 8, 3), (8, 7, 1), (9, 2, 2)])
+def test_repeated_teleports_check_the_kept_form_once(m, n, d, monkeypatch):
+    channel = _planted(m, n, d)
+    report = analyze(channel)
+    payload = random_pure_state(1, seed=11)
+    checked, check = [], states._check_unit
+
+    def counted(v):
+        checked.append(v.size)
+        check(v)
+
+    monkeypatch.setattr(states, "_check_unit", counted)
+    monkeypatch.setattr(capacity, "_check_unit", counted)
+    after = []
+    for run, kwargs in SEQUENCE:
+        run(channel, payload, report, **kwargs)
+        after.append(len(checked))
+    assert after == [1, 1, 1, 1] and checked == [1 << (m + n)]
 
 
 def test_the_key_is_the_channel_object():

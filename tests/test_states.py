@@ -126,6 +126,17 @@ class TestPermuteAndTensor:
                 want = np.kron(want, f.amplitudes)
             assert np.array_equal(tensor(factors).amplitudes, want), sizes
 
+    def test_tensor_at_the_norm_edge(self):
+        # each factor is 0.9e-9 over unit norm, which PureState accepts;
+        # their product, 1.8e-9 over, is renormalized
+        grow = 1 + 0.9e-9
+        payload = PureState(random_pure_state(1, 3).amplitudes * grow)
+        singlet = PureState(bell_state(1).amplitudes * grow)
+        got = tensor([payload, singlet]).amplitudes
+        assert abs(np.linalg.norm(got) - 1.0) <= 1e-15
+        want = np.kron(payload.amplitudes, singlet.amplitudes) / grow ** 2
+        assert np.max(np.abs(got - want)) <= 1e-15
+
     def test_tensor_cap(self):
         with pytest.raises(ValueError, match="exceeds"):
             tensor([random_pure_state(9, 0), random_pure_state(8, 1)])

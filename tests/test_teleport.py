@@ -256,6 +256,29 @@ class TestTeleportBell:
         assert fidelity(got, payload) > 1 - 1e-12
 
 
+class TestNormEdge:
+    """A channel and a payload each 0.9e-9 over unit norm pass PureState's
+    check; so they teleport, though their product is 1.8e-9 over."""
+
+    @staticmethod
+    def edge_states():
+        grow = 1 + 0.9e-9
+        ch = n_bell_channel(1)
+        channel = ChannelState(PureState(ch.state.amplitudes * grow), ch.alice, ch.bob)
+        return channel, PureState(random_pure_state(1, 3).amplitudes * grow)
+
+    @pytest.mark.parametrize("run", [teleport_bell, teleport_circuit])
+    @pytest.mark.parametrize("kwargs", [{}, {"mode": "sample", "seed": 4, "trials": 16}],
+                             ids=["exhaustive", "sample"])
+    def test_every_branch_faithful(self, run, kwargs):
+        channel, payload = self.edge_states()
+        assert abs(np.linalg.norm(payload.amplitudes) - 1 - 0.9e-9) <= 1e-15
+        res = run(channel, payload, analyze(channel), **kwargs)
+        assert len(res.branches) == (16 if kwargs else 4)
+        for b in res.branches:
+            assert abs(b.fidelity - 1.0) <= 1e-12
+
+
 class TestSampling:
     def test_deterministic_per_seed(self):
         ch = n_bell_channel(1)
@@ -433,6 +456,26 @@ class TestReportChecks:
         for run in (teleport_bell, teleport_circuit):
             with pytest.raises(ValueError, match="^state is not unit norm within 1e-9$"):
                 run(ch, random_pure_state(1, 3), bad)
+
+    def test_stretched_report_at_the_cap_fails_the_norm_check_first(self):
+        # 8|8 singlet (x) |+...+>|+...+>: Bob's support vectors spread over
+        # 128 entries, so a stretch along one of them (weight 1/2) moves the
+        # norm by about 3e-8 within the unitary check's max-norm 1e-9
+        plus = np.full(128, 128 ** -0.5)
+        mat = np.kron(np.array([[0, 1], [-1, 0]]) / np.sqrt(2), np.outer(plus, plus))
+        ch = ChannelState(PureState(mat.reshape(-1)), tuple(range(8)), tuple(range(8, 16)))
+        rep = analyze(ch)
+        v = np.linalg.svd(mat)[2][0].conj()
+        stretch = np.eye(256) + 0.9e-9 / (2 * np.max(np.abs(v)) ** 2) * np.outer(v, v.conj())
+        bad = dataclasses.replace(rep, u_b=rep.u_b @ stretch.T)
+        assert rep.capacity == 1 and linalg.is_unitary(bad.u_b)
+        for run in (teleport_bell, teleport_circuit):
+            with pytest.raises(ValueError, match="^tensor product exceeds 16 qubits$"):
+                run(ch, random_pure_state(1, 3), rep)
+            with pytest.raises(ValueError, match="^state is not unit norm within 1e-9$"):
+                run(ch, random_pure_state(1, 3), bad)
+            with pytest.raises(CapacityShortfall):
+                run(ch, random_pure_state(2, 3), bad)
 
     def test_replaced_report_checks_both_sides(self, monkeypatch):
         ch, rep, payload = self._planted()
