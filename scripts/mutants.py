@@ -2,13 +2,20 @@
 """Mutation run over telecap's tolerances and conventions.
 
 Each mutant replaces one piece of text, which must occur exactly once, in
-one module of src/telecap.  The run copies the package into a temporary
-directory, applies one mutant at a time to the copy and runs
-`pytest -x -q` on the test files the mutant names, with the copy first on
-PYTHONPATH.  A mutant is killed when those tests fail (pytest exits 1) and
-survives when they pass (exit 0).  Any other exit status means no test
-judged the mutant: collection failed, pytest was misused or found no
-tests, or the run timed out.  Such a mutant is invalid and fails the run.
+one module of src/telecap, and names test files that must exist;
+unrunnable() checks both, and tier-1 runs that check too.  The run copies
+the package into a temporary directory, puts the copy first on sys.path
+and applies one mutant at a time to it.  Each mutant runs `pytest -x -q`
+on the test files it names, in a child forked from this one interpreter:
+the parent imports numpy, pytest and hypothesis once, never telecap, and
+writes no bytecode, so every child imports the mutated copy from source.
+The child is forked, not spawned, because a spawned child would import
+them all again; the parent does no numpy work, and OpenBLAS shuts its
+idle thread pool down around a fork.  A mutant is killed when those tests
+fail (pytest exits 1) and survives when they pass (exit 0).  Any other
+exit status means no test judged the mutant: collection failed, pytest
+was misused or found no tests, or the child's 600 s alarm ended it.  Such
+a mutant is invalid and fails the run.
 
 Before any mutant, the unmutated copy must pass every named test file.
 The run fails if a mutant survives, unless the mutant is marked
@@ -25,14 +32,20 @@ Usage (from anywhere; the repository root is found from this file):
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import shutil
-import subprocess
+import signal
 import sys
 import tempfile
 import time
 from pathlib import Path
 from typing import NamedTuple
+
+# imported once here, so that no child imports them again
+import hypothesis  # noqa: F401
+import numpy  # noqa: F401
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "telecap"
@@ -239,35 +252,58 @@ MUTANTS = [
            'doc["u_a" if report.swapped else "u_b"] = ', (REPORT,)),
     Mutant("cli.py", "[report.u_a, *factors] if report.swapped else [*factors, report.u_b]",
            "[*factors, report.u_b] if report.swapped else [report.u_a, *factors]", (REPORT,)),
+    # ------------------------------------------------------------------
+    # haar_unitary refuses a matrix above the memory budget before drawing
+    # it, and certify a negative capacity, as verify_condition does.
+    Mutant("corpus.py", "_check_budget(dim * dim", "(dim * dim",
+           ("tests/test_corpus.py::TestHaarUnitary",)),
+    Mutant("capacity.py", "if d < 0:", "if False:", ("tests/test_capacity.py::TestCertify",)),
 ]
 
 
-def _pytest(tests, env) -> int:
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
-    try:
-        return subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL, timeout=600).returncode
-    except subprocess.TimeoutExpired:
-        return -1
+def unrunnable() -> list[str]:
+    """Why listed mutants cannot run, one line each: a mutant's text does
+    not occur exactly once in its module, or a test file it names does not
+    exist.  Empty when every mutant can run."""
+    problems = []
+    for mutant in MUTANTS:
+        if (PACKAGE / mutant.module).read_text().count(mutant.old) != 1:
+            problems.append(f"invalid mutant, its text does not occur exactly once: {mutant.label}")
+        for test in mutant.tests:
+            if not (ROOT / test.split("::")[0]).is_file():
+                problems.append(f"invalid mutant, {test} names no test file: {mutant.label}")
+    return problems
+
+
+def _pytest(tests) -> int:
+    """pytest's exit status on tests in a forked child, or minus the signal that ended it."""
+    pid = os.fork()
+    if pid == 0:  # the child leaves only by os._exit, never through main's cleanup
+        try:
+            signal.alarm(600)  # its SIGALRM ends a child still running after 600 s
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+            os.dup2(1, 2)
+            os._exit(pytest.main(["-x", "-q", "-p", "no:cacheprovider", *tests]))
+        finally:
+            os._exit(3)  # pytest.main raised: read as pytest's internal error
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 def main() -> int:
+    if problems := unrunnable():
+        print("\n".join(problems))
+        return 2
+    os.chdir(ROOT)
+    sys.dont_write_bytecode = True  # a mutated module must never load from a stale .pyc
     with tempfile.TemporaryDirectory(prefix="telecap-mutants-") as tmp:
         copy = Path(tmp) / "telecap"
         shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [tmp, os.environ.get("PYTHONPATH")])), "PYTHONDONTWRITEBYTECODE": "1"}
-        where = subprocess.run([sys.executable, "-c", "import telecap; print(telecap.__file__)"],
-                               env=env, capture_output=True, text=True, check=True).stdout
-        if Path(where.strip()).parent != copy:
-            print(f"the copy is not imported first: telecap comes from {where.strip()}")
+        sys.path.insert(0, tmp)
+        if Path(where := importlib.util.find_spec("telecap").origin).parent != copy:
+            print(f"the copy is not imported first: telecap comes from {where}")
             return 2
-        for mutant in MUTANTS:
-            if (copy / mutant.module).read_text().count(mutant.old) != 1:
-                print(f"invalid mutant, its text does not occur exactly once: {mutant.label}")
-                return 2
         files = sorted({t for m in MUTANTS for t in m.tests})
-        if _pytest(files, env) != 0:
+        if _pytest(files) != 0:
             print(f"the unmutated package fails {' '.join(files)}")
             return 2
         failures = 0
@@ -276,20 +312,17 @@ def main() -> int:
             original = path.read_text()
             path.write_text(original.replace(mutant.old, mutant.new))
             start = time.perf_counter()
-            try:
-                code = _pytest(mutant.tests, env)
-            finally:
-                path.write_text(original)
-            killed = code == 1
+            code = _pytest(mutant.tests)
+            path.write_text(original)
             if code not in (0, 1):
                 verdict = f"INVALID, pytest exit {code}"
                 failures += 1
             elif mutant.equivalent:
-                verdict = "KILLED, but marked equivalent" if killed else "equivalent, survived"
-                failures += killed
+                verdict = "KILLED, but marked equivalent" if code else "equivalent, survived"
+                failures += code
             else:
-                verdict = "killed" if killed else "SURVIVED"
-                failures += not killed
+                verdict = "killed" if code else "SURVIVED"
+                failures += not code
             print(f"{verdict:30} {time.perf_counter() - start:5.1f} s  {mutant.label}", flush=True)
     print(f"{len(MUTANTS)} mutants, {failures} failing the run")
     return 1 if failures else 0

@@ -9,12 +9,9 @@ analyze decomposes that density once: the clusters are read off its
 eigenvalues and the factoring unitary is V†, V its eigenvectors.  The
 sending side's unitary then follows from the freedom of purification: two
 pure states with the same reduced density on one side differ only by a
-unitary on the other side.  The report keeps that purifier as analyze
-built and checked it, dense or as low-rank factors, and canonicalizes a
-channel itself (AnalysisReport._canonicalize), so the teleport module
-never handles the two forms apart.  It keeps the canonical form of the
-last channel object it canonicalized, so repeated teleports over one
-analysis apply the local unitaries once.
+unitary on the other side.  The report canonicalizes a channel itself, so
+the teleport module never handles a purifier's dense and factored forms
+apart.
 
 Conventions fixed here and relied on by the teleport module:
 
@@ -30,9 +27,7 @@ Conventions fixed here and relied on by the teleport module:
   of the purifying side in computational order.  When the residual after
   u_b is diagonal to within ABSENT_WEIGHT, as after analyze's u_b, its
   eigenbasis is the computational basis, equal values kept in
-  computational order.  A u_b that mixes the residual is first rotated
-  into its eigenbasis, from one eigendecomposition, and then takes the
-  same signed-permutation or factored construction of the sender unitary.
+  computational order; otherwise _targets rotates u_b into it.
 """
 
 from __future__ import annotations
@@ -151,23 +146,19 @@ class AnalysisReport:
     The report holds read-only matrices, so writing to the caller's arrays
     afterwards does not change it: a complex128 array that is already
     read-only and owns its data is adopted as it is, anything else is
-    copied.  analyze keeps the purifying unitary (u_a, or u_b when
-    swapped) that it built and checked as _purifier: the dense matrix, or
-    the factors of I + W (C - I) W† (purifier_factors).  _canonicalize
-    applies the purifier through it, and reading the u_a (or u_b) field of
-    a factored report assembles the dense 2**m x 2**m matrix once, within
-    DENSE_BUDGET_BYTES, and caches it.  _purifier is not an init field,
-    so dataclasses.replace (which reads the dense field) and hand-built
-    reports start without it, and their purifier is checked densely.
+    copied.  analyze keeps the purifier (u_a, or u_b when swapped) that
+    it built and checked as _purifier, dense or as _LowRank factors.
+    _purifier is not an init field, so dataclasses.replace (which reads
+    the dense field) and hand-built reports start without it, and their
+    purifier is checked densely.
 
-    _canonicalize keeps the last channel object it canonicalized and that
-    channel's canonical matrix u_a M u_bᵀ, read-only, as _kept; a call on
-    the same object reuses the matrix after _oriented's checks.  The key is
-    the object's identity, which is sound for the reason the unitary flag
-    is: a channel is frozen and its state owns read-only amplitudes.  So a
-    report holds at most one channel and one matrix of its size beyond its
-    own fields.  _kept is not an init field either, so replaced and
-    hand-built reports start empty, and canonical_state leaves it alone.
+    _kept holds the last channel _canonicalize canonicalized and its
+    canonical matrix, keyed by the object's identity, which is sound for
+    the reason the unitary flag is: a channel is frozen and its state owns
+    read-only amplitudes.  So a report holds at most one channel and one
+    matrix of its size beyond its own fields.  _kept is not an init field
+    either, so replaced and hand-built reports start empty, and
+    canonical_state leaves it alone.
     """
 
     entropy_bits: float
@@ -581,7 +572,8 @@ def certify(channel: ChannelState, d: int, eps: float = DEFAULT_EPS):
     """(clusters, holds): the receiver's eigenvalue clusters as the tuple
     cluster_spectrum returns, and whether the factorization certificate
     holds at a claimed capacity d (None when the spectrum does not admit
-    d), decided on the smaller party as analyze decides.
+    d), decided on the smaller party as analyze decides.  A negative d
+    raises ValueError.
 
     A receiver with more qubits (n > m) has the sender's spectrum plus
     2**n - 2**m exact zeros.  Greedy clustering puts them all into the
@@ -591,6 +583,8 @@ def certify(channel: ChannelState, d: int, eps: float = DEFAULT_EPS):
     d <= m, so no multiplicity changes its residue mod 2**d.
     """
     _check_eps(eps)
+    if d < 0:
+        raise ValueError(f"d must be at least 0, not {d}")
     swapped = len(channel.alice) < len(channel.bob)
     w, clusters, _, cert = _structural(channel.swapped() if swapped else channel, eps, d)
     if swapped:

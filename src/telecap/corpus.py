@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .capacity import _check_budget
 from .linalg import DEFAULT_EPS, UNITARY_TOL, _check_eps, _unitarity_defect
 from .states import MAX_QUBITS, ChannelState, PureState, bell_state, ghz_state, random_pure_state
 
@@ -43,9 +44,11 @@ __all__ = [
 
 
 def haar_unitary(dim: int, seed) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    if not 2 <= dim <= 1 << MAX_QUBITS:
-        raise ValueError(f"dimension must be 2..{1 << MAX_QUBITS}")
+    """Haar-distributed unitary via QR of a complex Gaussian matrix; a
+    dim x dim matrix above DENSE_BUDGET_BYTES is refused before any draw."""
+    if dim < 2:
+        raise ValueError("dimension must be at least 2")
+    _check_budget(dim * dim * np.dtype(np.complex128).itemsize, f"a {dim} x {dim} unitary")
     return _haar_isometry(np.random.default_rng(seed), dim, dim)
 
 

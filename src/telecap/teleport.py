@@ -1,38 +1,19 @@
 """End-to-end teleportation over an analyzed channel, with exact branch
 accounting.
 
-Both protocol flavours consume a channel together with its analysis report:
-the report first canonicalizes the channel alone, before the payload
-joins, turning it into singlet pairs plus a residual factor; then each
-payload qubit is pushed through one pair.  The report keeps that
-canonical form for the last channel object it was given, so further
-teleports of that channel over the same report skip the local
-unitaries.  The report checks its unitaries against the channel on every
-call, checks the canonical form once, when it makes it, and applies its
-purifier in the form analyze built it, so where that is the identity plus
-a rank-2r correction, a teleport neither assembles nor multiplies by the
-dense 2**m x 2**m matrix.  The Bell flavour measures (payload qubit,
-sender half) in the Bell basis; the circuit flavour runs the CNOT + H
-measurement circuit, then reads both qubits in the computational basis.
-The two differ only in how the two-bit message is labeled; each is one
-constant table, built at import.
+Both protocol flavours consume a channel together with its analysis
+report, which turns the channel into singlet pairs times a residual
+factor; each payload qubit is then pushed through one pair.  The Bell
+flavour measures (payload qubit, sender half) in the Bell basis; the
+circuit flavour runs the CNOT + H measurement circuit, then reads both
+qubits in the computational basis.  The two differ only in how the
+two-bit message is labeled; each is one constant table, built at import.
 
-Every branch comes from one table.  The joint state is built straight in
-the layout the walk needs: one outer product of the payload with the
-canonicalized (sender x receiver) matrix, and one copying transpose that
-groups it by pair, each pair's (message, sender half, receiver half) axes
-side by side; no intermediate state is built.  Per used pair, one batched
-matmul with an 8 x 8 operator then turns that triple, where it sits, into
-an outcome and the corrected receiver half.  So after k pairs the
-unnormalized amplitudes of all 4**k branches sit in an array no larger
-than the joint state.  Branch probabilities are the squared norms of its
-rows and fidelities their overlaps with the payload; exhaustive mode still
-reports all 4**k branches, and sample mode draws each round's outcome from
-the table's conditional probabilities.  Each record takes its outcome and
-correction tuples from a table indexed by branch number, built once per
-run, so records of the same branch share them.  bell_round and
-circuit_round read one round off the same walk, run for a single pair of
-an arbitrary state.
+Every branch, and each single round, comes from one table no larger than
+the joint state (_prepare, _branch_table).  Branch probabilities are the
+squared norms of its rows and fidelities their overlaps with the payload;
+exhaustive mode reports all 4**k branches, and sample mode draws each
+round's outcome from the table's conditional probabilities.
 
 Outcome index conventions, per pair:
 
@@ -202,12 +183,11 @@ def _prepare(channel: ChannelState, payload: PureState, report: AnalysisReport) 
 
     The report canonicalizes the channel's (sender x receiver) amplitude
     matrix before the payload joins, so the cost of the local unitaries
-    does not grow with the payload, and checks it once per channel object
-    while it keeps the result (AnalysisReport._canonicalize).  The payload,
-    checked as a PureState, then joins that matrix in one outer product,
-    unless that exceeds the qubit cap, and one copying transpose groups it:
-    pair t's (message t, sender half, receiver half) axes side by side,
-    pair 0 first, then the qubits no pair uses, in ascending order.
+    does not grow with the payload.  The payload, checked as a PureState,
+    then joins that matrix in one outer product, unless that exceeds the
+    qubit cap, and one copying transpose groups it: pair t's (message t,
+    sender half, receiver half) axes side by side, pair 0 first, then the
+    qubits no pair uses, in ascending order; no intermediate state is built.
     """
     k = payload.n_qubits
     if k > report.capacity:
@@ -224,9 +204,7 @@ def _prepare(channel: ChannelState, payload: PureState, report: AnalysisReport) 
 
 def _branch_table(psi: np.ndarray, pair_operator: np.ndarray) -> np.ndarray:
     """Unnormalized amplitudes of every branch, shape (4**k, 2**k, rest),
-    from a state grouped by pair as _prepare returns it: shape (8**k,
-    rest), each pair's (message, sender half, receiver half) axes side by
-    side, pair 0 first.
+    from a state grouped by pair as _prepare returns it.
 
     Axis 0 packs the raw outcomes, pair 0 most significant; axis 1 holds
     the receiver halves in pair order, already corrected; axis 2 runs over

@@ -264,6 +264,14 @@ class TestCertify:
             assert np.max(np.abs(np.subtract(values, [v for v, _ in want]))) < 1e-12
             assert holds is (True if d <= top else None)
 
+    @pytest.mark.parametrize("channel", [
+        n_bell_channel(2), generate_planted(1, 3, 1, seed=3).channel], ids=["2x2", "1x3"])
+    def test_negative_capacity_rejected(self, channel):
+        # verify_condition refuses the same d; None would read as a
+        # spectrum that does not admit it
+        with pytest.raises(ValueError, match="^d must be at least 0, not -1$"):
+            certify(channel, -1)
+
 
 class TestAnalyze:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -14,7 +14,7 @@ from oracle import (
     partial_trace_loops,
     spectral_capacity,
 )
-from telecap import corpus
+from telecap import capacity, corpus
 from telecap.capacity import analyze
 from telecap.corpus import (
     generate_planted,
@@ -31,6 +31,10 @@ from telecap.states import ChannelState, PureState, fidelity, random_pure_state
 S = 1.0 / np.sqrt(2.0)
 
 
+def _no_draw(*args):
+    pytest.fail("haar_unitary drew a matrix above the memory budget")
+
+
 class TestHaarUnitary:
     def test_unitary_and_deterministic(self):
         u = haar_unitary(8, seed=3)
@@ -43,8 +47,25 @@ class TestHaarUnitary:
         assert np.array_equal(haar_unitary(dim, seed), haar_unitary_square_qr(dim, seed))
 
     def test_dimension_guard(self):
-        with pytest.raises(ValueError, match="^dimension must be 2..65536$"):
+        with pytest.raises(ValueError, match="^dimension must be at least 2$"):
             haar_unitary(1, 0)
+
+    @pytest.mark.parametrize("dim", [2 ** 14, 2 ** 16])
+    def test_refused_above_the_budget(self, dim, monkeypatch):
+        # 4 GiB and 64 GiB of output: refused before the draw, which would
+        # fail the test here instead of allocating if the check were gone
+        monkeypatch.setattr(corpus, "_haar_isometry", _no_draw)
+        with pytest.raises(ValueError, match=f"^a {dim} x {dim} unitary needs {16 * dim * dim:,} "
+                                             f"bytes, above the 3,221,225,472-byte budget$"):
+            haar_unitary(dim, 0)
+
+    def test_budget_boundary(self, monkeypatch):
+        monkeypatch.setattr(capacity, "DENSE_BUDGET_BYTES", 16 * 16 * 16)
+        assert is_unitary(haar_unitary(16, 3))
+        monkeypatch.setattr(corpus, "_haar_isometry", _no_draw)
+        with pytest.raises(ValueError, match="^a 17 x 17 unitary needs 4,624 bytes, "
+                                             "above the 4,096-byte budget$"):
+            haar_unitary(17, 3)
 
     def test_mean_single_qubit_purity(self):
         # normalized purity 2 tr(rho^2) - 1 of a one-qubit marginal of a
